@@ -10,25 +10,29 @@ coefficients are Python ints, so they never overflow.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .compositions import Composition
+from .compositions import Composition, _composition
 
 CompositionLike = Composition | Iterable[int]
 
+_EMPTY = Composition()
+
 
 @lru_cache(maxsize=None)
-def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Quasi-shuffle of two part tuples as ((parts, coefficient), ...).
+def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[Composition, int], ...]:
+    """Quasi-shuffle of two part tuples as ((composition, coefficient), ...).
 
     Three-branch recursion on the leading parts: take the head of the left
     factor, take the head of the right factor, or merge both heads into one
     part.  Output-sensitive and cached; callers must not mutate the result.
     """
     if not left:
-        return ((right, 1),)
+        return ((_composition(right), 1),)
     if not right:
-        return ((left, 1),)
+        return ((_composition(left), 1),)
     a, b = left[0], right[0]
     acc: dict[tuple[int, ...], int] = {}
     for parts, c in _quasi_shuffle(left[1:], right):
@@ -40,10 +44,130 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
     for parts, c in _quasi_shuffle(left[1:], right[1:]):
         key = (a + b,) + parts
         acc[key] = acc.get(key, 0) + c
-    return tuple(sorted(acc.items()))
+    return tuple(sorted((_composition(key), c) for key, c in acc.items()))
 
 
-class QSymElement:
+class _Sparse:
+    """A sparse integer combination of basis keys: the shared module structure.
+
+    An element is a dict from keys to nonzero coefficients plus a shape
+    (tensor arity, variable count, or None) that operands must share.  This
+    base owns +, -, integer scaling, ==, hash, bool, len and the canonical
+    order of :meth:`terms`.  Each subclass supplies its constructor
+    validation, its lift of scalars, its term order and its own product.
+    """
+
+    __slots__ = ("_shape", "_terms")
+
+    _SHAPE_NAME = "shape"
+    # The key a lifted scalar sits on: an element with no other key equals,
+    # and so must hash like, its coefficient there.
+    _SCALAR_KEY = None
+    # Canonical order of terms(): a sort key on term keys, and its direction.
+    _sort_key = None
+    _descending = False
+
+    @staticmethod
+    def _coefficient(value):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"coefficients must be integers, got {value!r}")
+        return value
+
+    def _store(self, shape, terms: Mapping | None, key: Callable) -> None:
+        """Validate public constructor input: every key and every coefficient."""
+        self._shape = shape
+        clean = {}
+        for k, v in (terms or {}).items():
+            k, v = key(k), self._coefficient(v)
+            if v:
+                clean[k] = v
+        self._terms = clean
+
+    @classmethod
+    def _new(cls, terms: Mapping, shape=None):
+        """An element from keys already valid for ``cls``; zero coefficients are dropped."""
+        out = object.__new__(cls)
+        out._shape = shape
+        out._terms = {k: v for k, v in terms.items() if v}
+        return out
+
+    @classmethod
+    def _lift(cls, other):
+        """``other`` as an element of ``cls``, or None when it cannot be one."""
+        return other if isinstance(other, cls) else None
+
+    def _check_shape(self, other: "_Sparse") -> None:
+        if self._shape != other._shape:
+            raise ValueError(f"{self._SHAPE_NAME} mismatch: {self._shape} vs {other._shape}")
+
+    def terms(self) -> Iterator[tuple]:
+        """Terms in the canonical order of the type."""
+        for key in sorted(self._terms, key=self._sort_key, reverse=self._descending):
+            yield key, self._terms[key]
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return self._shape == other._shape and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        if self._terms.keys() <= {self._SCALAR_KEY}:
+            return hash(self._terms.get(self._SCALAR_KEY, 0))
+        return hash((self._shape, frozenset(self._terms.items())))
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        self._check_shape(other)
+        acc = dict(self._terms)
+        for key, coeff in other._terms.items():
+            acc[key] = acc[key] + coeff if key in acc else coeff
+        return self._new(acc, self._shape)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self._terms.items()}, self._shape)
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self + -other
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else other + -self
+
+    def _scaled(self, n: int):
+        return self._new({k: v * n for k, v in self._terms.items()}, self._shape)
+
+    def __rmul__(self, other):
+        # every ring here is commutative
+        return self.__mul__(other)
+
+    def __pow__(self, k: int):
+        one = self._lift(1)  # None for types that lift no scalars
+        if one is None:
+            return NotImplemented
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
+        result = one
+        for _ in range(k):
+            result = result * self
+        return result
+
+
+class QSymElement(_Sparse):
     """A sparse integer combination of monomial basis elements.
 
     Immutable.  Supports +, -, * (by integers and by other elements), and **.
@@ -51,15 +175,22 @@ class QSymElement:
     (weight first, then lexicographic on the composition).
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _SCALAR_KEY = _EMPTY
 
     def __init__(self, terms: Mapping[Composition, int] | None = None):
-        clean: dict[Composition, int] = {}
-        if terms:
-            for comp, coeff in terms.items():
-                if coeff:
-                    clean[Composition(comp)] = coeff
-        self._terms = clean
+        self._store(None, terms, Composition)
+
+    @staticmethod
+    def _sort_key(comp: Composition) -> tuple[int, Composition]:
+        return comp.sort_key
+
+    @classmethod
+    def _lift(cls, other):
+        if isinstance(other, int):
+            return cls._new({_EMPTY: int(other)})
+        return super()._lift(other)
 
     # -- constructors ------------------------------------------------------
 
@@ -69,7 +200,7 @@ class QSymElement:
 
     @classmethod
     def one(cls) -> "QSymElement":
-        return cls({Composition(): 1})
+        return cls({_EMPTY: 1})
 
     @classmethod
     def monomial(cls, composition: CompositionLike) -> "QSymElement":
@@ -78,23 +209,15 @@ class QSymElement:
 
     @classmethod
     def from_int(cls, n: int) -> "QSymElement":
-        return cls({Composition(): n})
+        return cls({_EMPTY: n})
 
     # -- inspection --------------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[Composition, int]]:
-        """Terms in canonical order: by weight, then lexicographically."""
-        for comp in sorted(self._terms, key=lambda c: c.sort_key):
-            yield comp, self._terms[comp]
 
     def coefficient(self, composition: CompositionLike) -> int:
         return self._terms.get(Composition(composition), 0)
 
     def support(self) -> list[Composition]:
-        return sorted(self._terms, key=lambda c: c.sort_key)
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return [comp for comp, _ in self.terms()]
 
     def is_homogeneous(self) -> bool:
         return len({c.weight for c in self._terms}) <= 1
@@ -105,83 +228,25 @@ class QSymElement:
             return 0
         return max(c.weight for c in self._terms)
 
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = QSymElement.from_int(other)
-        if isinstance(other, QSymElement):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
     def __repr__(self) -> str:
         from .syntax import format_qsym
 
         return f"QSymElement({format_qsym(self)!r})"
 
-    # -- module structure --------------------------------------------------
-
-    def __add__(self, other) -> "QSymElement":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self._terms)
-        for comp, coeff in other._terms.items():
-            acc[comp] = acc.get(comp, 0) + coeff
-        return QSymElement(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QSymElement":
-        return QSymElement({c: -v for c, v in self._terms.items()})
-
-    def __sub__(self, other) -> "QSymElement":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "QSymElement":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     # -- ring structure ----------------------------------------------------
 
     def __mul__(self, other) -> "QSymElement":
         if isinstance(other, int):
-            return QSymElement({c: v * other for c, v in self._terms.items()})
+            return self._scaled(other)
         if not isinstance(other, QSymElement):
             return NotImplemented
         acc: dict[Composition, int] = {}
         for ci, vi in self._terms.items():
             for cj, vj in other._terms.items():
                 v = vi * vj
-                for parts, mult in _quasi_shuffle(ci.parts, cj.parts):
-                    comp = Composition(parts)
+                for comp, mult in _quasi_shuffle(ci, cj):
                     acc[comp] = acc.get(comp, 0) + v * mult
-        return QSymElement(acc)
-
-    def __rmul__(self, other) -> "QSymElement":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, k: int) -> "QSymElement":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = QSymElement.one()
-        for _ in range(k):
-            result = result * self
-        return result
+        return self._new(acc)
 
     # -- coalgebra and Hopf structure --------------------------------------
 
@@ -189,14 +254,13 @@ class QSymElement:
         """Deconcatenation: each basis term splits over all prefix/suffix cuts."""
         acc: dict[tuple[Composition, ...], int] = {}
         for comp, coeff in self._terms.items():
-            for left, right in comp.splits():
-                key = (left, right)
-                acc[key] = acc.get(key, 0) + coeff
-        return TensorElement(2, acc)
+            for cut in comp.splits():
+                acc[cut] = acc.get(cut, 0) + coeff
+        return TensorElement._new(acc, 2)
 
     def counit(self) -> int:
         """The coefficient of the empty composition."""
-        return self._terms.get(Composition(), 0)
+        return self._terms.get(_EMPTY, 0)
 
     def antipode(self) -> "QSymElement":
         """Signed sum over coarsenings of the reversed composition, per term."""
@@ -205,11 +269,11 @@ class QSymElement:
             sign = -1 if len(comp) % 2 else 1
             for coarser in comp.reverse().coarsenings():
                 acc[coarser] = acc.get(coarser, 0) + sign * coeff
-        return QSymElement(acc)
+        return self._new(acc)
 
     def reverse_indices(self) -> "QSymElement":
         """The algebra involution sending each basis index to its reversal."""
-        return QSymElement({c.reverse(): v for c, v in self._terms.items()})
+        return self._new({c.reverse(): v for c, v in self._terms.items()})
 
     # -- grading and truncation --------------------------------------------
 
@@ -221,19 +285,11 @@ class QSymElement:
         """
         if n < 0:
             raise ValueError(f"variable count must be nonnegative, got {n}")
-        return QSymElement({c: v for c, v in self._terms.items() if len(c) <= n})
+        return self._new({c: v for c, v in self._terms.items() if len(c) <= n})
 
     def homogeneous_part(self, d: int) -> "QSymElement":
         """The sum of terms of weight exactly ``d``."""
-        return QSymElement({c: v for c, v in self._terms.items() if c.weight == d})
-
-
-def _coerce(value) -> "QSymElement":
-    if isinstance(value, QSymElement):
-        return value
-    if isinstance(value, int):
-        return QSymElement.from_int(value)
-    return NotImplemented
+        return self._new({c: v for c, v in self._terms.items() if c.weight == d})
 
 
 def monomial(composition: CompositionLike) -> QSymElement:
@@ -241,7 +297,7 @@ def monomial(composition: CompositionLike) -> QSymElement:
     return QSymElement.monomial(composition)
 
 
-class TensorElement:
+class TensorElement(_Sparse):
     """A sparse integer combination of tensors of monomial basis elements.
 
     Keys are tuples of compositions of a fixed arity (2 or 3).  The product
@@ -249,129 +305,74 @@ class TensorElement:
     different arity is an error.
     """
 
-    __slots__ = ("_arity", "_terms")
+    __slots__ = ()
+
+    _SHAPE_NAME = "tensor arity"
 
     def __init__(self, arity: int, terms: Mapping[tuple, int] | None = None):
         if arity not in (2, 3):
             raise ValueError(f"tensor arity must be 2 or 3, got {arity}")
-        self._arity = arity
-        clean: dict[tuple[Composition, ...], int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if len(key) != arity:
-                    raise ValueError(f"tensor key {key!r} does not have arity {arity}")
-                if coeff:
-                    clean[tuple(Composition(c) for c in key)] = coeff
-        self._terms = clean
+
+        def factors(key) -> tuple[Composition, ...]:
+            if len(key) != arity:
+                raise ValueError(f"tensor key {key!r} does not have arity {arity}")
+            return tuple(Composition(c) for c in key)
+
+        self._store(arity, terms, factors)
+
+    @staticmethod
+    def _sort_key(key: tuple[Composition, ...]) -> tuple:
+        """Factorwise weight-then-lex."""
+        return tuple(c.sort_key for c in key)
 
     @property
     def arity(self) -> int:
-        return self._arity
+        return self._shape
 
     @classmethod
     def unit(cls, arity: int = 2) -> "TensorElement":
-        return cls(arity, {(Composition(),) * arity: 1})
-
-    def terms(self) -> Iterator[tuple[tuple[Composition, ...], int]]:
-        """Terms in canonical order: factorwise weight-then-lex keys."""
-        for key in sorted(self._terms, key=lambda k: tuple(c.sort_key for c in k)):
-            yield key, self._terms[key]
+        return cls(arity, {(_EMPTY,) * arity: 1})
 
     def coefficient(self, key: Iterable[CompositionLike]) -> int:
         return self._terms.get(tuple(Composition(c) for c in key), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TensorElement):
-            return self._arity == other._arity and self._terms == other._terms
-        return NotImplemented
 
     def __repr__(self) -> str:
         from .syntax import format_tensor
 
         return f"TensorElement({format_tensor(self)!r})"
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        self._check_arity(other)
-        acc = dict(self._terms)
-        for key, coeff in other._terms.items():
-            acc[key] = acc.get(key, 0) + coeff
-        return TensorElement(self._arity, acc)
-
-    def __neg__(self) -> "TensorElement":
-        return TensorElement(self._arity, {k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "TensorElement":
         if isinstance(other, int):
-            return TensorElement(self._arity, {k: v * other for k, v in self._terms.items()})
+            return self._scaled(other)
         if not isinstance(other, TensorElement):
             return NotImplemented
-        self._check_arity(other)
+        self._check_shape(other)
         acc: dict[tuple[Composition, ...], int] = {}
         for key1, v1 in self._terms.items():
             for key2, v2 in other._terms.items():
-                factors = [
-                    QSymElement.monomial(a) * QSymElement.monomial(b)
-                    for a, b in zip(key1, key2)
-                ]
                 v = v1 * v2
-                for key, coeff in _expand_factor_products(factors):
-                    acc[key] = acc.get(key, 0) + v * coeff
-        return TensorElement(self._arity, acc)
-
-    def __rmul__(self, other) -> "TensorElement":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
-
-    def _check_arity(self, other: "TensorElement") -> None:
-        if self._arity != other._arity:
-            raise ValueError(f"tensor arity mismatch: {self._arity} vs {other._arity}")
+                slots = [_quasi_shuffle(a, b) for a, b in zip(key1, key2)]
+                for choice in product(*slots):
+                    key = tuple(comp for comp, _ in choice)
+                    acc[key] = acc.get(key, 0) + v * prod(mult for _, mult in choice)
+        return self._new(acc, self._shape)
 
 
-def _expand_factor_products(
-    factors: list[QSymElement],
-) -> Iterator[tuple[tuple[Composition, ...], int]]:
-    """Distribute a list of elements into tensor keys with coefficients."""
-    keys: list[tuple[tuple[Composition, ...], int]] = [((), 1)]
+def _tensor(*factors: QSymElement) -> TensorElement:
+    acc: dict[tuple[Composition, ...], int] = {(): 1}
     for factor in factors:
-        keys = [
-            (key + (comp,), coeff * c)
-            for key, coeff in keys
-            for comp, c in factor.terms()
-        ]
-    return iter(keys)
+        acc = {key + (c,): v * w for key, v in acc.items() for c, w in factor._terms.items()}
+    return TensorElement._new(acc, len(factors))
 
 
 def tensor(left: QSymElement, right: QSymElement) -> TensorElement:
     """The 2-fold tensor of two elements, bilinear in both slots."""
-    acc: dict[tuple[Composition, ...], int] = {}
-    for ci, vi in left.terms():
-        for cj, vj in right.terms():
-            acc[(ci, cj)] = vi * vj
-    return TensorElement(2, acc)
+    return _tensor(left, right)
 
 
 def triple_tensor(a: QSymElement, b: QSymElement, c: QSymElement) -> TensorElement:
     """The 3-fold tensor of three elements."""
-    acc: dict[tuple[Composition, ...], int] = {}
-    for ci, vi in a.terms():
-        for cj, vj in b.terms():
-            for ck, vk in c.terms():
-                acc[(ci, cj, ck)] = vi * vj * vk
-    return TensorElement(3, acc)
+    return _tensor(a, b, c)
 
 
 def map_slot(
@@ -385,60 +386,63 @@ def map_slot(
     if not 0 <= slot < element.arity:
         raise ValueError(f"slot {slot} out of range for arity {element.arity}")
     acc: dict[tuple[Composition, ...], int] = {}
-    for key, coeff in element.terms():
-        image = fn(QSymElement.monomial(key[slot]))
+    for key, coeff in element._terms.items():
+        image = fn(QSymElement._new({key[slot]: 1}))
         for comp, c in image.terms():
             new_key = key[:slot] + (comp,) + key[slot + 1 :]
             acc[new_key] = acc.get(new_key, 0) + coeff * c
-    return TensorElement(element.arity, acc)
+    return element._new(acc, element.arity)
+
+
+def _two_fold_terms(element: TensorElement):
+    """The (key, coefficient) items of a 2-fold tensor."""
+    if element.arity != 2:
+        raise ValueError(f"tensor arity mismatch: {element.arity} vs 2")
+    return element._terms.items()
 
 
 def coproduct_first(element: TensorElement) -> TensorElement:
     """Apply the coproduct to the first slot of a 2-fold tensor, giving a 3-fold one."""
-    element._check_arity(TensorElement(2))
     acc: dict[tuple[Composition, ...], int] = {}
-    for (left, right), coeff in element.terms():
+    for (left, right), coeff in _two_fold_terms(element):
         for a, b in left.splits():
             key = (a, b, right)
             acc[key] = acc.get(key, 0) + coeff
-    return TensorElement(3, acc)
+    return TensorElement._new(acc, 3)
 
 
 def coproduct_second(element: TensorElement) -> TensorElement:
     """Apply the coproduct to the second slot of a 2-fold tensor, giving a 3-fold one."""
-    element._check_arity(TensorElement(2))
     acc: dict[tuple[Composition, ...], int] = {}
-    for (left, right), coeff in element.terms():
+    for (left, right), coeff in _two_fold_terms(element):
         for a, b in right.splits():
             key = (left, a, b)
             acc[key] = acc.get(key, 0) + coeff
-    return TensorElement(3, acc)
+    return TensorElement._new(acc, 3)
 
 
 def counit_first(element: TensorElement) -> QSymElement:
     """Contract the first slot of a 2-fold tensor with the counit."""
-    element._check_arity(TensorElement(2))
     acc: dict[Composition, int] = {}
-    for (left, right), coeff in element.terms():
+    for (left, right), coeff in _two_fold_terms(element):
         if len(left) == 0:
             acc[right] = acc.get(right, 0) + coeff
-    return QSymElement(acc)
+    return QSymElement._new(acc)
 
 
 def counit_second(element: TensorElement) -> QSymElement:
     """Contract the second slot of a 2-fold tensor with the counit."""
-    element._check_arity(TensorElement(2))
     acc: dict[Composition, int] = {}
-    for (left, right), coeff in element.terms():
+    for (left, right), coeff in _two_fold_terms(element):
         if len(right) == 0:
             acc[left] = acc.get(left, 0) + coeff
-    return QSymElement(acc)
+    return QSymElement._new(acc)
 
 
 def contract_product(element: TensorElement) -> QSymElement:
     """Multiply the two slots of a 2-fold tensor together."""
-    element._check_arity(TensorElement(2))
-    result = QSymElement.zero()
-    for (left, right), coeff in element.terms():
-        result = result + coeff * (QSymElement.monomial(left) * QSymElement.monomial(right))
-    return result
+    acc: dict[Composition, int] = {}
+    for (left, right), coeff in _two_fold_terms(element):
+        for comp, mult in _quasi_shuffle(left, right):
+            acc[comp] = acc.get(comp, 0) + coeff * mult
+    return QSymElement._new(acc)

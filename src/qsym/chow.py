@@ -10,9 +10,9 @@ involution that swaps the roles of the two marked points upstairs.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .algebra import QSymElement, TensorElement
+from .algebra import QSymElement, TensorElement, _Sparse
 from .compositions import Composition
 
 
@@ -30,10 +30,10 @@ def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorEl
         raise ValueError(f"length bounds must be nonnegative, got {bounds!r}")
     acc = {
         key: coeff
-        for key, coeff in element.terms()
+        for key, coeff in element._terms.items()
         if all(len(comp) <= bound for comp, bound in zip(key, bounds))
     }
-    return TensorElement(element.arity, acc)
+    return element._new(acc, element.arity)
 
 
 def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:
@@ -65,8 +65,8 @@ def gluing_matches_coproduct(element: QSymElement) -> bool:
         truncated = truncate_tensor(full, (n1, n2))
         if gluing_pullback(element, n1, n2) != truncated:
             return False
-        seen.update(key for key, _ in truncated.terms())
-    return seen == {key for key, _ in full.terms()}
+        seen.update(truncated._terms)
+    return seen == full._terms.keys()
 
 
 def deep_stratum_class(d: int) -> QSymElement:
@@ -80,27 +80,39 @@ def deep_stratum_class(d: int) -> QSymElement:
     return QSymElement.monomial([1] * d)
 
 
-class BetaElement:
+def _beta_power(power) -> int:
+    if not isinstance(power, int) or isinstance(power, bool) or power < 0:
+        raise ValueError(f"beta power must be a nonnegative integer, got {power!r}")
+    return power
+
+
+class BetaElement(_Sparse):
     """A polynomial in one extra class ``beta`` with quasisymmetric coefficients.
 
     Models the Chow ring of the one-point tower: ``beta`` is the extra
     generator, and the coefficient of each power is an element of the
-    two-point ring.  Immutable.
+    two-point ring.  Immutable.  Integers and two-point elements lift to
+    constant polynomials; terms run in descending beta power.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ()
+
+    _SCALAR_KEY = 0
+    _descending = True
 
     def __init__(self, coeffs: Mapping[int, QSymElement] | None = None):
-        clean: dict[int, QSymElement] = {}
-        if coeffs:
-            for power, value in coeffs.items():
-                if not isinstance(power, int) or isinstance(power, bool) or power < 0:
-                    raise ValueError(f"beta power must be a nonnegative integer, got {power!r}")
-                if not isinstance(value, QSymElement):
-                    value = QSymElement.from_int(value)
-                if value:
-                    clean[power] = value
-        self._coeffs = clean
+        self._store(None, coeffs, _beta_power)
+
+    @staticmethod
+    def _coefficient(value) -> QSymElement:
+        return value if isinstance(value, QSymElement) else QSymElement.from_int(value)
+
+    @classmethod
+    def _lift(cls, other):
+        scalar = QSymElement._lift(other)
+        if scalar is not None:
+            return cls._new({0: scalar})
+        return super()._lift(other)
 
     @classmethod
     def zero(cls) -> "BetaElement":
@@ -118,102 +130,36 @@ class BetaElement:
     def from_qsym(cls, element: QSymElement) -> "BetaElement":
         return cls({0: element})
 
-    def terms(self) -> Iterator[tuple[int, QSymElement]]:
-        """Pairs (power, coefficient) in descending beta power."""
-        for power in sorted(self._coeffs, reverse=True):
-            yield power, self._coeffs[power]
-
     def coefficient(self, power: int) -> QSymElement:
-        return self._coeffs.get(power, QSymElement.zero())
+        return self._terms.get(power, QSymElement.zero())
 
     def beta_degree(self) -> int:
         """Largest beta power appearing; 0 for the zero element."""
-        if not self._coeffs:
+        if not self._terms:
             return 0
-        return max(self._coeffs)
+        return max(self._terms)
 
     def total_degree(self) -> int:
         """Largest combined degree, counting beta with weight 1."""
-        if not self._coeffs:
+        if not self._terms:
             return 0
-        return max(power + value.degree() for power, value in self._coeffs.items())
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        other = _coerce_beta(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return max(power + value.degree() for power, value in self._terms.items())
 
     def __repr__(self) -> str:
         from .syntax import format_beta
 
         return f"BetaElement({format_beta(self)!r})"
 
-    def __add__(self, other) -> "BetaElement":
-        other = _coerce_beta(other)
-        if other is NotImplemented:
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for power, value in other._coeffs.items():
-            acc[power] = acc.get(power, QSymElement.zero()) + value
-        return BetaElement(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BetaElement":
-        return BetaElement({p: -v for p, v in self._coeffs.items()})
-
-    def __sub__(self, other) -> "BetaElement":
-        other = _coerce_beta(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "BetaElement":
-        other = _coerce_beta(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "BetaElement":
-        other = _coerce_beta(other)
-        if other is NotImplemented:
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         acc: dict[int, QSymElement] = {}
-        for p1, v1 in self._coeffs.items():
-            for p2, v2 in other._coeffs.items():
-                power = p1 + p2
-                acc[power] = acc.get(power, QSymElement.zero()) + v1 * v2
-        return BetaElement(acc)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "BetaElement":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-        result = BetaElement.one()
-        for _ in range(k):
-            result = result * self
-        return result
-
-
-def _coerce_beta(value) -> "BetaElement":
-    if isinstance(value, BetaElement):
-        return value
-    if isinstance(value, QSymElement):
-        return BetaElement.from_qsym(value)
-    if isinstance(value, int):
-        return BetaElement({0: QSymElement.from_int(value)})
-    return NotImplemented
+        for p1, v1 in self._terms.items():
+            for p2, v2 in other._terms.items():
+                power, value = p1 + p2, v1 * v2
+                acc[power] = acc[power] + value if power in acc else value
+        return self._new(acc)
 
 
 def marked_point_involution(element: BetaElement) -> BetaElement:

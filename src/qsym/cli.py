@@ -12,9 +12,10 @@ import argparse
 import json
 import sys
 
-from .chow import deep_stratum_class, gluing_pullback, marked_point_involution
-from .compositions import enumerate_lyndon, lyndon_count
-from .expansion import expand
+from .algebra import QSymElement, TensorElement
+from .chow import BetaElement, deep_stratum_class, gluing_pullback, marked_point_involution
+from .compositions import Composition, enumerate_lyndon, lyndon_count
+from .expansion import SparsePolynomial, expand
 from .syntax import (
     ParseError,
     format_beta,
@@ -120,105 +121,96 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_qsym(element, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(json_qsym(element))
-    if fmt == "latex":
-        return latex_qsym(element)
-    return format_qsym(element)
+# The values are the syntax functions themselves, not wrappers around them, so
+# tracing that patches module-level dict values (bench/tracing.py) reaches them.
+_RENDERERS = {
+    (QSymElement, "text"): format_qsym,
+    (QSymElement, "json"): json_qsym,
+    (QSymElement, "latex"): latex_qsym,
+    (TensorElement, "text"): format_tensor,
+    (TensorElement, "json"): json_tensor,
+    (TensorElement, "latex"): latex_tensor,
+    (BetaElement, "text"): format_beta,
+    (BetaElement, "json"): json_beta,
+    (BetaElement, "latex"): latex_beta,
+    (SparsePolynomial, "text"): format_polynomial,
+    (SparsePolynomial, "json"): json_polynomial,
+    (SparsePolynomial, "latex"): latex_polynomial,
+    (Composition, "text"): format_composition,
+    (Composition, "latex"): latex_composition,
+    (int, "text"): str,
+    (int, "json"): int,
+    (int, "latex"): str,
+}
 
 
-def _emit_tensor(element, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(json_tensor(element))
-    if fmt == "latex":
-        return latex_tensor(element)
-    return format_tensor(element)
-
-
-def _emit_beta(element, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(json_beta(element))
-    if fmt == "latex":
-        return latex_beta(element)
-    return format_beta(element)
-
-
-def _emit_polynomial(poly, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(json_polynomial(poly))
-    if fmt == "latex":
-        return latex_polynomial(poly)
-    return format_polynomial(poly)
+def _emit(value, fmt: str) -> str:
+    rendered = _RENDERERS[type(value), fmt](value)
+    return json.dumps(rendered) if fmt == "json" else rendered
 
 
 def _cmd_mul(args) -> int:
     result = parse_qsym(args.left) * parse_qsym(args.right)
-    print(_emit_qsym(result, args.format))
+    print(_emit(result, args.format))
     return 0
 
 
 def _cmd_coproduct(args) -> int:
-    print(_emit_tensor(parse_qsym(args.element).coproduct(), args.format))
+    print(_emit(parse_qsym(args.element).coproduct(), args.format))
     return 0
 
 
 def _cmd_antipode(args) -> int:
-    print(_emit_qsym(parse_qsym(args.element).antipode(), args.format))
+    print(_emit(parse_qsym(args.element).antipode(), args.format))
     return 0
 
 
 def _cmd_counit(args) -> int:
-    value = parse_qsym(args.element).counit()
-    print(json.dumps(value) if args.format == "json" else str(value))
+    print(_emit(parse_qsym(args.element).counit(), args.format))
     return 0
 
 
 def _cmd_sigma(args) -> int:
-    print(_emit_qsym(parse_qsym(args.element).reverse_indices(), args.format))
+    print(_emit(parse_qsym(args.element).reverse_indices(), args.format))
     return 0
 
 
 def _cmd_truncate(args) -> int:
-    print(_emit_qsym(parse_qsym(args.element).truncate(args.num_vars), args.format))
+    print(_emit(parse_qsym(args.element).truncate(args.num_vars), args.format))
     return 0
 
 
 def _cmd_expand(args) -> int:
-    print(_emit_polynomial(expand(parse_qsym(args.element), args.num_vars), args.format))
+    print(_emit(expand(parse_qsym(args.element), args.num_vars), args.format))
     return 0
 
 
 def _cmd_lyndon(args) -> int:
     if args.action == "count":
-        value = lyndon_count(args.weight)
-        print(json.dumps(value) if args.format == "json" else str(value))
+        print(_emit(lyndon_count(args.weight), args.format))
         return 0
     compositions = enumerate_lyndon(args.weight)
     if args.format == "json":
-        print(json.dumps([list(c.parts) for c in compositions]))
-    elif args.format == "latex":
-        for comp in compositions:
-            print(latex_composition(comp))
+        print(json.dumps([list(c) for c in compositions]))
     else:
         for comp in compositions:
-            print(format_composition(comp))
+            print(_emit(comp, args.format))
     return 0
 
 
 def _cmd_psi(args) -> int:
     result = gluing_pullback(parse_qsym(args.element), args.n1, args.n2)
-    print(_emit_tensor(result, args.format))
+    print(_emit(result, args.format))
     return 0
 
 
 def _cmd_tau(args) -> int:
-    print(_emit_beta(marked_point_involution(parse_beta(args.element)), args.format))
+    print(_emit(marked_point_involution(parse_beta(args.element)), args.format))
     return 0
 
 
 def _cmd_stratum(args) -> int:
-    print(_emit_qsym(deep_stratum_class(args.depth), args.format))
+    print(_emit(deep_stratum_class(args.depth), args.format))
     return 0
 
 

@@ -7,94 +7,58 @@ reversal, coarsening, Lyndon testing, enumeration, and counting.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
-class Composition:
+class Composition(tuple):
     """An immutable tuple of positive integers, possibly empty.
 
     The weight is the sum of the parts, the length the number of parts.
-    Instances are hashable and totally ordered by :func:`compare_lex`.
+    Equality, hashing and ordering are those of the underlying tuple, so a
+    composition equals the plain tuple of its parts and tuple order is
+    :func:`compare_lex`.  Tuple operators act on the parts: ``c + c`` is a
+    plain tuple and ``2 * c`` repeats the parts; use :meth:`concat`.
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ()
 
     def __init__(self, parts: Iterable[int] = ()):
         if isinstance(parts, Composition):
-            self._parts = parts._parts
             return
-        pts = tuple(parts)
-        for p in pts:
+        for p in self:
             if not isinstance(p, int) or isinstance(p, bool) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
-        self._parts = pts
 
     @property
     def parts(self) -> tuple[int, ...]:
-        return self._parts
+        return tuple(self)
 
     @property
     def weight(self) -> int:
-        return sum(self._parts)
+        return sum(self)
 
     @property
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
+    def sort_key(self) -> tuple[int, "Composition"]:
         """Canonical ordering key: weight first, then lexicographic."""
-        return (self.weight, self._parts)
-
-    def __len__(self) -> int:
-        return len(self._parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._parts)
-
-    def __getitem__(self, i):
-        return self._parts[i]
-
-    def __hash__(self) -> int:
-        return hash(self._parts)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Composition):
-            return self._parts == other._parts
-        return NotImplemented
-
-    def __lt__(self, other: "Composition") -> bool:
-        return compare_lex(self, other) < 0
-
-    def __le__(self, other: "Composition") -> bool:
-        return compare_lex(self, other) <= 0
-
-    def __gt__(self, other: "Composition") -> bool:
-        return compare_lex(self, other) > 0
-
-    def __ge__(self, other: "Composition") -> bool:
-        return compare_lex(self, other) >= 0
+        return (sum(self), self)
 
     def __repr__(self) -> str:
-        return f"Composition({list(self._parts)})"
+        return f"Composition({list(self)})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(p) for p in self._parts) + "]"
+        return "[" + ",".join(map(str, self)) + "]"
 
     def concat(self, other: "Composition") -> "Composition":
         """The parts of ``self`` followed by the parts of ``other``."""
-        other = Composition(other)
-        return Composition(self._parts + other._parts)
+        return _composition(self + Composition(other))
 
     def reverse(self) -> "Composition":
         """Parts in reversed order."""
-        return Composition(self._parts[::-1])
+        return _composition(self[::-1])
 
     def is_lyndon(self) -> bool:
         """True iff nonempty and strictly smaller than each proper nonempty suffix."""
-        n = len(self._parts)
-        if n == 0:
-            return False
-        for k in range(1, n):
-            if compare_lex(Composition(self._parts[k:]), self) <= 0:
-                return False
-        return True
+        return len(self) > 0 and all(self[k:] > self for k in range(1, len(self)))
 
     def coarsenings(self) -> list["Composition"]:
         """All compositions obtained by summing groups of consecutive parts.
@@ -102,46 +66,46 @@ class Composition:
         Returns 2**(len-1) distinct compositions for a nonempty composition,
         and just the empty composition for the empty one, sorted canonically.
         """
-        n = len(self._parts)
+        n = len(self)
         if n == 0:
-            return [Composition()]
+            return [self]
         out = []
         # each bitmask picks which of the n-1 gaps stay as part boundaries
         for mask in range(1 << (n - 1)):
             grouped = []
-            acc = self._parts[0]
+            acc = self[0]
             for i in range(1, n):
                 if mask & (1 << (i - 1)):
                     grouped.append(acc)
-                    acc = self._parts[i]
+                    acc = self[i]
                 else:
-                    acc += self._parts[i]
+                    acc += self[i]
             grouped.append(acc)
-            out.append(Composition(grouped))
+            out.append(_composition(grouped))
         out.sort(key=lambda c: c.sort_key)
         return out
 
     def splits(self) -> list[tuple["Composition", "Composition"]]:
         """All ways to cut into a prefix and a suffix, len+1 in total."""
-        return [
-            (Composition(self._parts[:k]), Composition(self._parts[k:]))
-            for k in range(len(self._parts) + 1)
-        ]
+        return [(_composition(self[:k]), _composition(self[k:])) for k in range(len(self) + 1)]
+
+
+def _composition(parts: Iterable[int]) -> Composition:
+    """A composition from parts already known to be positive integers.
+
+    Skips the validation of :class:`Composition`; for keys built inside the
+    package from valid compositions.
+    """
+    return tuple.__new__(Composition, parts)
 
 
 def compare_lex(left: Composition, right: Composition) -> int:
     """Total order on compositions: -1, 0, or 1.
 
     The first differing entry decides; a proper prefix is smaller than any
-    of its extensions.
+    of its extensions.  This is tuple order.
     """
-    a, b = left.parts, right.parts
-    for x, y in zip(a, b):
-        if x != y:
-            return -1 if x < y else 1
-    if len(a) == len(b):
-        return 0
-    return -1 if len(a) < len(b) else 1
+    return (left > right) - (left < right)
 
 
 def enumerate_compositions(n: int) -> list[Composition]:
@@ -155,7 +119,7 @@ def enumerate_compositions(n: int) -> list[Composition]:
 
     def rec(remaining: int, prefix: tuple[int, ...]) -> None:
         if remaining == 0:
-            out.append(Composition(prefix))
+            out.append(_composition(prefix))
             return
         for first in range(1, remaining + 1):
             rec(remaining - first, prefix + (first,))

@@ -17,42 +17,46 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterator, Mapping
+from typing import Mapping
 
-from .algebra import QSymElement
+from .algebra import QSymElement, _Sparse
 from .compositions import Composition, enumerate_compositions, enumerate_lyndon
 
 
-class SparsePolynomial:
+class SparsePolynomial(_Sparse):
     """An integer polynomial in variables a1..an, stored as exponent tuples.
 
     Immutable.  Exponent tuples always have length ``num_vars``; terms with
     coefficient zero are dropped.  Arithmetic requires equal ``num_vars``.
     """
 
-    __slots__ = ("_num_vars", "_terms")
+    __slots__ = ()
+
+    _SHAPE_NAME = "variable count"
+    _descending = True
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if num_vars < 0:
             raise ValueError(f"variable count must be nonnegative, got {num_vars}")
-        self._num_vars = num_vars
-        clean: dict[tuple[int, ...], int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != num_vars:
-                    raise ValueError(
-                        f"exponent tuple {exps!r} does not match {num_vars} variables"
-                    )
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps!r}")
-                if coeff:
-                    clean[exps] = coeff
-        self._terms = clean
+
+        def exponents(exps) -> tuple[int, ...]:
+            exps = tuple(exps)
+            if len(exps) != num_vars:
+                raise ValueError(f"exponent tuple {exps!r} does not match {num_vars} variables")
+            if any(e < 0 for e in exps):
+                raise ValueError(f"negative exponent in {exps!r}")
+            return exps
+
+        self._store(num_vars, terms, exponents)
+
+    @staticmethod
+    def _sort_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """Graded lexicographic; :meth:`terms` runs it in descending order."""
+        return (sum(exps), exps)
 
     @property
     def num_vars(self) -> int:
-        return self._num_vars
+        return self._shape
 
     @classmethod
     def zero(cls, num_vars: int) -> "SparsePolynomial":
@@ -61,11 +65,6 @@ class SparsePolynomial:
     @classmethod
     def constant(cls, num_vars: int, value: int) -> "SparsePolynomial":
         return cls(num_vars, {(0,) * num_vars: value})
-
-    def terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        """Terms in descending graded-lexicographic order of exponents."""
-        for exps in sorted(self._terms, key=lambda e: (sum(e), e), reverse=True):
-            yield exps, self._terms[exps]
 
     def coefficient(self, exps: tuple[int, ...]) -> int:
         return self._terms.get(tuple(exps), 0)
@@ -76,67 +75,23 @@ class SparsePolynomial:
             return 0
         return max(sum(e) for e in self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SparsePolynomial):
-            return self._num_vars == other._num_vars and self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._num_vars, frozenset(self._terms.items())))
-
     def __repr__(self) -> str:
         from .syntax import format_polynomial
 
-        return f"SparsePolynomial({self._num_vars}, {format_polynomial(self)!r})"
-
-    def _check_vars(self, other: "SparsePolynomial") -> None:
-        if self._num_vars != other._num_vars:
-            raise ValueError(
-                f"variable count mismatch: {self._num_vars} vs {other._num_vars}"
-            )
-
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        self._check_vars(other)
-        acc = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc[exps] = acc.get(exps, 0) + coeff
-        return SparsePolynomial(self._num_vars, acc)
-
-    def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(self._num_vars, {e: -v for e, v in self._terms.items()})
-
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        return self + (-other)
+        return f"SparsePolynomial({self._shape}, {format_polynomial(self)!r})"
 
     def __mul__(self, other) -> "SparsePolynomial":
         if isinstance(other, int):
-            return SparsePolynomial(
-                self._num_vars, {e: v * other for e, v in self._terms.items()}
-            )
+            return self._scaled(other)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        self._check_vars(other)
+        self._check_shape(other)
         acc: dict[tuple[int, ...], int] = {}
         for e1, v1 in self._terms.items():
             for e2, v2 in other._terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 acc[key] = acc.get(key, 0) + v1 * v2
-        return SparsePolynomial(self._num_vars, acc)
-
-    def __rmul__(self, other) -> "SparsePolynomial":
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+        return self._new(acc, self._shape)
 
 
 @lru_cache(maxsize=None)
@@ -166,10 +121,10 @@ def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
     if num_vars < 0:
         raise ValueError(f"variable count must be nonnegative, got {num_vars}")
     acc: dict[tuple[int, ...], int] = {}
-    for comp, coeff in element.terms():
-        for exps in _basis_expansion(comp.parts, num_vars):
+    for comp, coeff in element._terms.items():
+        for exps in _basis_expansion(comp, num_vars):
             acc[exps] = acc.get(exps, 0) + coeff
-    return SparsePolynomial(num_vars, acc)
+    return SparsePolynomial._new(acc, num_vars)
 
 
 def _packed_pattern(exps: tuple[int, ...]) -> tuple[int, ...]:
@@ -181,7 +136,7 @@ def is_quasisymmetric(poly: SparsePolynomial) -> bool:
     """Whether every pattern of nonzero exponents appears at all placements
     with one shared coefficient."""
     groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for exps, coeff in poly.terms():
+    for exps, coeff in poly._terms.items():
         groups.setdefault(_packed_pattern(exps), {})[exps] = coeff
     for pattern, placements in groups.items():
         if len(placements) != comb(poly.num_vars, len(pattern)):
@@ -207,12 +162,12 @@ def from_polynomial(poly: SparsePolynomial) -> QSymElement:
     if not is_quasisymmetric(poly):
         raise ValueError("polynomial is not quasisymmetric")
     acc: dict[Composition, int] = {}
-    for exps, coeff in poly.terms():
+    for exps, coeff in poly._terms.items():
         pattern = _packed_pattern(exps)
         # the leading placement puts all nonzero exponents first
         if exps[: len(pattern)] == pattern:
             acc[Composition(pattern)] = coeff
-    return QSymElement(acc)
+    return QSymElement._new(acc)
 
 
 def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolynomial:
@@ -234,12 +189,12 @@ def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolyno
     keep = [p - 1 for p in positions]
     keep_set = set(keep)
     acc: dict[tuple[int, ...], int] = {}
-    for exps, coeff in poly.terms():
+    for exps, coeff in poly._terms.items():
         if any(e and i not in keep_set for i, e in enumerate(exps)):
             continue
         key = tuple(exps[i] for i in keep)
         acc[key] = acc.get(key, 0) + coeff
-    return SparsePolynomial(len(keep), acc)
+    return SparsePolynomial._new(acc, len(keep))
 
 
 def zero_insertion_holds(element: QSymElement, num_vars: int, slot: int) -> bool:

@@ -1,6 +1,10 @@
 """The ring, coalgebra, and antipode, checked against independent routes."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsym.algebra import (
     QSymElement,
@@ -16,6 +20,7 @@ from qsym.algebra import (
     triple_tensor,
 )
 from qsym.compositions import Composition, enumerate_compositions
+from qsym.expansion import SparsePolynomial
 from reference_impls import surjection_product
 
 
@@ -75,6 +80,24 @@ class TestElementBasics:
 
     def test_hash_agrees_with_equality(self):
         assert hash(M([1]) + M([2])) == hash(M([2]) + M([1]))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, 2.0, Fraction(1, 2), Fraction(2)],
+        ids=["float", "whole-float", "fraction", "whole-fraction"],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: QSymElement({Composition([1]): c}),
+            lambda c: TensorElement(2, {(Composition([1]), Composition()): c}),
+            lambda c: SparsePolynomial(1, {(1,): c}),
+        ],
+        ids=["qsym", "tensor", "polynomial"],
+    )
+    def test_non_integer_coefficients_rejected(self, build, bad):
+        with pytest.raises(ValueError):
+            build(bad)
 
     def test_module_structure(self):
         f = M([1, 2])
@@ -148,6 +171,22 @@ class TestProduct:
         assert f**3 == f * f * f
         with pytest.raises(ValueError):
             f**-1
+
+
+@st.composite
+def compositions(draw, max_weight=10, max_length=5):
+    """A nonempty composition of weight <= max_weight with <= max_length parts."""
+    weight = draw(st.integers(1, max_weight))
+    cuts = sorted(draw(st.sets(st.integers(1, weight), max_size=max_length - 1)) - {weight})
+    bounds = [0, *cuts, weight]
+    return Composition(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@given(compositions(), compositions())
+@settings(max_examples=100, deadline=None)
+def test_product_agrees_with_surjection_enumeration_fuzz(a, b):
+    expected = surjection_product(a.parts, b.parts)
+    assert {c.parts: v for c, v in (M(a) * M(b)).terms()} == expected
 
 
 class TestCoproduct:
@@ -293,6 +332,11 @@ class TestTensors:
     def test_unit(self):
         two = tensor(M([1]), M([2]))
         assert TensorElement.unit(2) * two == two
+
+    def test_hashable(self):
+        two = tensor(M([1]), M([2]))
+        assert hash(two) == hash(tensor(M([1]), M([2])))
+        assert len({two, two + two - two, 2 * two}) == 2
 
     def test_scalar_multiple(self):
         two = tensor(M([1]), M([2]))

@@ -1,6 +1,8 @@
 """Gluing pullbacks, stratum classes, and the beta extension."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsym.algebra import QSymElement, TensorElement, monomial, tensor
 from qsym.chow import (
@@ -181,3 +183,23 @@ class TestMarkedPointInvolution:
         assert marked_point_involution(x + y) == (
             marked_point_involution(x) + marked_point_involution(y)
         )
+
+
+qsym_strategy = st.dictionaries(
+    st.lists(st.integers(1, 4), max_size=3).map(Composition), st.integers(-3, 3), max_size=3
+).map(QSymElement)
+
+
+@given(st.integers(-5, 5), qsym_strategy)
+@example(0, QSymElement())
+@settings(max_examples=100, deadline=None)
+def test_values_equal_to_scalars_hash_like_them(n, q):
+    scalar = QSymElement.from_int(n)
+    for value, lower in [
+        (scalar, n),
+        (BetaElement.from_qsym(q), q),
+        (BetaElement.from_qsym(scalar), scalar),
+        (BetaElement({0: n}), n),
+    ]:
+        assert value == lower
+        assert hash(value) == hash(lower)

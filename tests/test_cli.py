@@ -213,3 +213,220 @@ class TestErrorHandling:
         code, out, _ = invoke(capsys, "--help")
         assert code == 0
         assert "usage" in out
+
+
+# Byte-exact output of every subcommand in every format, on operands with
+# several terms and negative coefficients.  "--" lets an operand start with "-".
+GOLDEN = [
+    (
+        ("mul", "--format", "text", "--", "2*[1] - [2] + 3", "-[1] + [1,1]"),
+        "-3*[1] - [1,1] - 2*[2] + 6*[1,1,1] + 3*[1,2] + 3*[2,1] + [3] - [1,1,2] "
+        "- [1,2,1] - [1,3] - [2,1,1] - [3,1]\n",
+    ),
+    (
+        ("mul", "--format", "json", "--", "2*[1] - [2] + 3", "-[1] + [1,1]"),
+        '[{"composition": [1], "coefficient": -3}, {"composition": [1, 1], '
+        '"coefficient": -1}, {"composition": [2], "coefficient": -2}, '
+        '{"composition": [1, 1, 1], "coefficient": 6}, {"composition": [1, 2], '
+        '"coefficient": 3}, {"composition": [2, 1], "coefficient": 3}, '
+        '{"composition": [3], "coefficient": 1}, {"composition": [1, 1, 2], '
+        '"coefficient": -1}, {"composition": [1, 2, 1], "coefficient": -1}, '
+        '{"composition": [1, 3], "coefficient": -1}, {"composition": [2, 1, 1], '
+        '"coefficient": -1}, {"composition": [3, 1], "coefficient": -1}]\n',
+    ),
+    (
+        ("mul", "--format", "latex", "--", "2*[1] - [2] + 3", "-[1] + [1,1]"),
+        "-3M_{(1)} - M_{(1,1)} - 2M_{(2)} + 6M_{(1,1,1)} + 3M_{(1,2)} + "
+        "3M_{(2,1)} + M_{(3)} - M_{(1,1,2)} - M_{(1,2,1)} - M_{(1,3)} - "
+        "M_{(2,1,1)} - M_{(3,1)}\n",
+    ),
+    (
+        ("coproduct", "--format", "text", "--", "[1,2] - 2*[3] + 1"),
+        "[] (x) [] + [] (x) [1,2] - 2*[] (x) [3] + [1] (x) [2] + [1,2] (x) [] - "
+        "2*[3] (x) []\n",
+    ),
+    (
+        ("coproduct", "--format", "json", "--", "[1,2] - 2*[3] + 1"),
+        '[{"factors": [[], []], "coefficient": 1}, {"factors": [[], [1, 2]], '
+        '"coefficient": 1}, {"factors": [[], [3]], "coefficient": -2}, '
+        '{"factors": [[1], [2]], "coefficient": 1}, {"factors": [[1, 2], []], '
+        '"coefficient": 1}, {"factors": [[3], []], "coefficient": -2}]\n',
+    ),
+    (
+        ("coproduct", "--format", "latex", "--", "[1,2] - 2*[3] + 1"),
+        "1 \\otimes 1 + 1 \\otimes M_{(1,2)} - 2\\,1 \\otimes M_{(3)} + M_{(1)} "
+        "\\otimes M_{(2)} + M_{(1,2)} \\otimes 1 - 2\\,M_{(3)} \\otimes 1\n",
+    ),
+    (
+        ("antipode", "--format", "text", "--", "[1,2] - 2*[2,1,1] + 1"),
+        "1 + [2,1] + [3] + 2*[1,1,2] + 2*[1,3] + 2*[2,2] + 2*[4]\n",
+    ),
+    (
+        ("antipode", "--format", "json", "--", "[1,2] - 2*[2,1,1] + 1"),
+        '[{"composition": [], "coefficient": 1}, {"composition": [2, 1], '
+        '"coefficient": 1}, {"composition": [3], "coefficient": 1}, '
+        '{"composition": [1, 1, 2], "coefficient": 2}, {"composition": [1, 3], '
+        '"coefficient": 2}, {"composition": [2, 2], "coefficient": 2}, '
+        '{"composition": [4], "coefficient": 2}]\n',
+    ),
+    (
+        ("antipode", "--format", "latex", "--", "[1,2] - 2*[2,1,1] + 1"),
+        "1 + M_{(2,1)} + M_{(3)} + 2M_{(1,1,2)} + 2M_{(1,3)} + 2M_{(2,2)} + "
+        "2M_{(4)}\n",
+    ),
+    (
+        ("counit", "--format", "text", "--", "3*[1] - 5"),
+        "-5\n",
+    ),
+    (
+        ("counit", "--format", "json", "--", "3*[1] - 5"),
+        "-5\n",
+    ),
+    (
+        ("counit", "--format", "latex", "--", "3*[1] - 5"),
+        "-5\n",
+    ),
+    (
+        ("sigma", "--format", "text", "--", "[1,2,3] - 2*[2,1] + 4"),
+        "4 - 2*[1,2] + [3,2,1]\n",
+    ),
+    (
+        ("sigma", "--format", "json", "--", "[1,2,3] - 2*[2,1] + 4"),
+        '[{"composition": [], "coefficient": 4}, {"composition": [1, 2], '
+        '"coefficient": -2}, {"composition": [3, 2, 1], "coefficient": 1}]\n',
+    ),
+    (
+        ("sigma", "--format", "latex", "--", "[1,2,3] - 2*[2,1] + 4"),
+        "4 - 2M_{(1,2)} + M_{(3,2,1)}\n",
+    ),
+    (
+        ("truncate", "--format", "text", "--", "-[1] + 2*[1,1] - [1,1,1] + 7", "2"),
+        "7 - [1] + 2*[1,1]\n",
+    ),
+    (
+        ("truncate", "--format", "json", "--", "-[1] + 2*[1,1] - [1,1,1] + 7", "2"),
+        '[{"composition": [], "coefficient": 7}, {"composition": [1], '
+        '"coefficient": -1}, {"composition": [1, 1], "coefficient": 2}]\n',
+    ),
+    (
+        ("truncate", "--format", "latex", "--", "-[1] + 2*[1,1] - [1,1,1] + 7", "2"),
+        "7 - M_{(1)} + 2M_{(1,1)}\n",
+    ),
+    (
+        ("expand", "--format", "text", "--", "[2,1] - 3*[1] + 2", "2"),
+        "a1^2*a2 - 3*a1 - 3*a2 + 2\n",
+    ),
+    (
+        ("expand", "--format", "json", "--", "[2,1] - 3*[1] + 2", "2"),
+        '{"num_vars": 2, "terms": [{"exponents": [2, 1], "coefficient": 1}, '
+        '{"exponents": [1, 0], "coefficient": -3}, {"exponents": [0, 1], '
+        '"coefficient": -3}, {"exponents": [0, 0], "coefficient": 2}]}\n',
+    ),
+    (
+        ("expand", "--format", "latex", "--", "[2,1] - 3*[1] + 2", "2"),
+        "\\alpha_{1}^{2}\\alpha_{2} - 3\\alpha_{1} - 3\\alpha_{2} + 2\n",
+    ),
+    (
+        ("lyndon", "list", "--format", "text", "--", "5"),
+        "[1,1,1,2]\n[1,1,3]\n[1,2,2]\n[1,4]\n[2,3]\n[5]\n",
+    ),
+    (
+        ("lyndon", "list", "--format", "json", "--", "5"),
+        "[[1, 1, 1, 2], [1, 1, 3], [1, 2, 2], [1, 4], [2, 3], [5]]\n",
+    ),
+    (
+        ("lyndon", "list", "--format", "latex", "--", "5"),
+        "M_{(1,1,1,2)}\nM_{(1,1,3)}\nM_{(1,2,2)}\nM_{(1,4)}\nM_{(2,3)}\nM_{(5)}\n",
+    ),
+    (
+        ("lyndon", "count", "--format", "text", "--", "6"),
+        "9\n",
+    ),
+    (
+        ("lyndon", "count", "--format", "json", "--", "6"),
+        "9\n",
+    ),
+    (
+        ("lyndon", "count", "--format", "latex", "--", "6"),
+        "9\n",
+    ),
+    (
+        ("psi", "--format", "text", "--", "[1,2] - 3*[2,1,1] + 2", "2", "1"),
+        "2*[] (x) [] + [1] (x) [2] + [1,2] (x) [] - 3*[2,1] (x) [1]\n",
+    ),
+    (
+        ("psi", "--format", "json", "--", "[1,2] - 3*[2,1,1] + 2", "2", "1"),
+        '[{"factors": [[], []], "coefficient": 2}, {"factors": [[1], [2]], '
+        '"coefficient": 1}, {"factors": [[1, 2], []], "coefficient": 1}, '
+        '{"factors": [[2, 1], [1]], "coefficient": -3}]\n',
+    ),
+    (
+        ("psi", "--format", "latex", "--", "[1,2] - 3*[2,1,1] + 2", "2", "1"),
+        "2\\,1 \\otimes 1 + M_{(1)} \\otimes M_{(2)} + M_{(1,2)} \\otimes 1 - "
+        "3\\,M_{(2,1)} \\otimes M_{(1)}\n",
+    ),
+    (
+        ("tau", "--format", "text", "--", "([1]+2)*b^2 - 3*[1,1]*b + 3"),
+        "(2 + [1])*b^2 + (-4*[1] - [1,1] - 2*[2])*b + 3 + 4*[1,1] + 2*[2] - "
+        "3*[1,1,1] + [3]\n",
+    ),
+    (
+        ("tau", "--format", "json", "--", "([1]+2)*b^2 - 3*[1,1]*b + 3"),
+        '[{"beta_power": 2, "coefficient": [{"composition": [], "coefficient": '
+        '2}, {"composition": [1], "coefficient": 1}]}, {"beta_power": 1, '
+        '"coefficient": [{"composition": [1], "coefficient": -4}, '
+        '{"composition": [1, 1], "coefficient": -1}, {"composition": [2], '
+        '"coefficient": -2}]}, {"beta_power": 0, "coefficient": [{"composition": '
+        '[], "coefficient": 3}, {"composition": [1, 1], "coefficient": 4}, '
+        '{"composition": [2], "coefficient": 2}, {"composition": [1, 1, 1], '
+        '"coefficient": -3}, {"composition": [3], "coefficient": 1}]}]\n',
+    ),
+    (
+        ("tau", "--format", "latex", "--", "([1]+2)*b^2 - 3*[1,1]*b + 3"),
+        "(2 + M_{(1)})\\beta^{2} + (-4M_{(1)} - M_{(1,1)} - 2M_{(2)})\\beta + 3 + "
+        "4M_{(1,1)} + 2M_{(2)} - 3M_{(1,1,1)} + M_{(3)}\n",
+    ),
+    (
+        ("tau", "--format", "text", "--", "b^3 - 2*b"),
+        "-b^3 + 3*[1]*b^2 + (2 - 6*[1,1] - 3*[2])*b - 2*[1] + 6*[1,1,1] + "
+        "3*[1,2] + 3*[2,1] + [3]\n",
+    ),
+    (
+        ("tau", "--format", "json", "--", "b^3 - 2*b"),
+        '[{"beta_power": 3, "coefficient": [{"composition": [], "coefficient": '
+        '-1}]}, {"beta_power": 2, "coefficient": [{"composition": [1], '
+        '"coefficient": 3}]}, {"beta_power": 1, "coefficient": [{"composition": '
+        '[], "coefficient": 2}, {"composition": [1, 1], "coefficient": -6}, '
+        '{"composition": [2], "coefficient": -3}]}, {"beta_power": 0, '
+        '"coefficient": [{"composition": [1], "coefficient": -2}, '
+        '{"composition": [1, 1, 1], "coefficient": 6}, {"composition": [1, 2], '
+        '"coefficient": 3}, {"composition": [2, 1], "coefficient": 3}, '
+        '{"composition": [3], "coefficient": 1}]}]\n',
+    ),
+    (
+        ("tau", "--format", "latex", "--", "b^3 - 2*b"),
+        "-\\beta^{3} + 3M_{(1)}\\beta^{2} + (2 - 6M_{(1,1)} - 3M_{(2)})\\beta - "
+        "2M_{(1)} + 6M_{(1,1,1)} + 3M_{(1,2)} + 3M_{(2,1)} + M_{(3)}\n",
+    ),
+    (
+        ("stratum", "--format", "text", "--", "3"),
+        "[1,1,1]\n",
+    ),
+    (
+        ("stratum", "--format", "json", "--", "3"),
+        '[{"composition": [1, 1, 1], "coefficient": 1}]\n',
+    ),
+    (
+        ("stratum", "--format", "latex", "--", "3"),
+        "M_{(1,1,1)}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    GOLDEN,
+    ids=[" ".join(argv[: argv.index("--")]) for argv, _ in GOLDEN],
+)
+def test_golden_output(capsys, argv, expected):
+    assert invoke(capsys, *argv) == (0, expected, "")
