@@ -7,17 +7,23 @@ of its parts.  Multiplying expansions therefore gives a second, unrelated
 route to the product, which the test-suite exploits as a cross-check.
 
 Also here: recognising quasisymmetric polynomials, reading them back into the
-basis, variable-killing face maps, and the exact-rank certificate that
-products of Lyndon-indexed basis elements span each graded piece.
+basis, variable-killing face maps, and the certificate that products of
+Lyndon-indexed basis elements span each graded piece.  The certificate checks
+that the leading terms of those products are the predicted, pairwise distinct
+concatenations, which makes their matrix triangular; only when that fails
+does it compute the rank by exact ``Fraction`` elimination.  That fallback
+and :func:`rational_rank` are the only uses of ``Fraction``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
-from typing import Mapping
+from math import comb, factorial, prod
+from operator import add, itemgetter
+from typing import Iterator, Mapping
 
 from .algebra import QSymElement, _Sparse
 from .compositions import Composition, enumerate_compositions, enumerate_lyndon
@@ -89,7 +95,7 @@ class SparsePolynomial(_Sparse):
         acc: dict[tuple[int, ...], int] = {}
         for e1, v1 in self._terms.items():
             for e2, v2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(add, e1, e2))
                 acc[key] = acc.get(key, 0) + v1 * v2
         return self._new(acc, self._shape)
 
@@ -186,15 +192,28 @@ def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolyno
         )
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be strictly increasing, got {positions!r}")
-    keep = [p - 1 for p in positions]
-    keep_set = set(keep)
+    keep = _selector([p - 1 for p in positions])
+    kill = _selector([i for i in range(poly.num_vars) if i + 1 not in positions])
     acc: dict[tuple[int, ...], int] = {}
     for exps, coeff in poly._terms.items():
-        if any(e and i not in keep_set for i, e in enumerate(exps)):
+        if any(kill(exps)):
             continue
-        key = tuple(exps[i] for i in keep)
+        key = keep(exps)
         acc[key] = acc.get(key, 0) + coeff
-    return SparsePolynomial._new(acc, len(keep))
+    return SparsePolynomial._new(acc, len(positions))
+
+
+def _selector(indices: list[int]):
+    """A function picking ``indices`` out of a tuple, always as a tuple.
+
+    ``itemgetter`` returns a bare item for one index and cannot take none.
+    """
+    if not indices:
+        return lambda exps: ()
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda exps: (exps[i],)
+    return itemgetter(*indices)
 
 
 def zero_insertion_holds(element: QSymElement, num_vars: int, slot: int) -> bool:
@@ -263,7 +282,7 @@ def lyndon_monomial_multisets(weight: int) -> list[tuple[Composition, ...]]:
         for i in range(start, len(generators)):
             g = generators[i]
             if g.weight > remaining:
-                continue
+                break  # generators are sorted by weight first
             chosen.append(g)
             recurse(i, remaining - g.weight, chosen)
             chosen.pop()
@@ -277,15 +296,58 @@ def lyndon_generation_matrix(weight: int) -> list[list[Fraction]]:
     columns: compositions of that weight, in lexicographic order."""
     columns = {comp: i for i, comp in enumerate(enumerate_compositions(weight))}
     rows: list[list[Fraction]] = []
-    for multiset in lyndon_monomial_multisets(weight):
-        product = QSymElement.one()
-        for comp in multiset:
-            product = product * QSymElement.monomial(comp)
+    for product in _lyndon_monomials(lyndon_monomial_multisets(weight)):
         row = [Fraction(0)] * len(columns)
         for comp, coeff in product.terms():
             row[columns[comp]] = Fraction(coeff)
         rows.append(row)
     return rows
+
+
+def _lyndon_monomials(multisets: list[tuple[Composition, ...]]) -> Iterator[QSymElement]:
+    """The product of the basis elements indexed by each multiset, in turn.
+
+    Factors are multiplied in the order listed, and the products of the
+    leading factors a multiset shares with the one before it are reused.
+    """
+    stack = [((), QSymElement.one())]  # (factor, product through it) per prefix
+    for multiset in multisets:
+        shared = 0
+        while (
+            shared + 1 < len(stack)
+            and shared < len(multiset)
+            and stack[shared + 1][0] == multiset[shared]
+        ):
+            shared += 1
+        del stack[shared + 1 :]
+        for comp in multiset[shared:]:
+            stack.append((comp, stack[-1][1] * QSymElement.monomial(comp)))
+        yield stack[-1][1]
+
+
+def _leading_terms_triangular(multisets: list[tuple[Composition, ...]]) -> bool:
+    """Whether the Lyndon monomials have distinct, predicted leading terms.
+
+    Under the (length, lexicographic) order, the product of Lyndon-indexed
+    basis elements l1 >= ... >= lk should lead with the concatenation
+    l1...lk, with coefficient the product of the factorials of the
+    multiplicities.  When every product does so and no two leading terms
+    coincide, the rows are triangular after sorting by leading term, so
+    their rank is exactly their number.
+    """
+    leads: set[tuple[int, ...]] = set()
+    for multiset, product in zip(multisets, _lyndon_monomials(multisets)):
+        terms = product._terms
+        _, lead = max(zip(map(len, terms), terms))  # (length, lex) order
+        concatenation = tuple(part for comp in sorted(multiset, reverse=True) for part in comp)
+        if (
+            lead != concatenation
+            or terms[lead] != prod(map(factorial, Counter(multiset).values()))
+            or lead in leads
+        ):
+            return False
+        leads.add(lead)
+    return True
 
 
 def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
@@ -295,9 +357,20 @@ def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
     graded piece, the number of Lyndon monomials of that weight, and the
     exact rank of the matrix expressing those monomials in the basis.  Free
     polynomial generation at this weight holds exactly when all three agree.
+
+    The rank comes from a leading-term certificate: each monomial, with its
+    factors in decreasing order, must lead with their concatenation and with
+    the product of the factorials of the multiplicities as coefficient, and
+    no two monomials may share a leading term.  Then the matrix is
+    triangular and its rank is the number of monomials.  If any of this
+    fails, the rank is computed exactly by :func:`rational_rank` on
+    :func:`lyndon_generation_matrix`, the only path that uses ``Fraction``.
     """
     if weight < 1:
         raise ValueError(f"weight must be positive, got {weight}")
     dimension = 2 ** (weight - 1)
+    multisets = lyndon_monomial_multisets(weight)
+    if _leading_terms_triangular(multisets):
+        return dimension, len(multisets), len(multisets)
     matrix = lyndon_generation_matrix(weight)
     return dimension, len(matrix), rational_rank(matrix)

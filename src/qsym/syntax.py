@@ -139,23 +139,25 @@ def _parse_sign(parser: _Parser, *, required: bool) -> int:
     return 1
 
 
-def _parse_qsym_term(parser: _Parser) -> QSymElement:
+def _parse_qsym_term(parser: _Parser) -> tuple[Composition, int]:
     if parser.at_kind("INT"):
         value = _parse_int(parser)
         if parser.at("*"):
             parser.advance()
-            return value * QSymElement.monomial(_parse_composition(parser))
-        return QSymElement.from_int(value)
-    return QSymElement.monomial(_parse_composition(parser))
+            return _parse_composition(parser), value
+        return Composition(), value
+    return _parse_composition(parser), 1
 
 
 def _parse_qsym_expr(parser: _Parser) -> QSymElement:
+    acc: dict[Composition, int] = {}
     sign = _parse_sign(parser, required=False)
-    result = sign * _parse_qsym_term(parser)
-    while parser.at("+") or parser.at("-"):
+    while True:
+        comp, coeff = _parse_qsym_term(parser)
+        acc[comp] = acc.get(comp, 0) + sign * coeff
+        if not (parser.at("+") or parser.at("-")):
+            return QSymElement._new(acc)
         sign = _parse_sign(parser, required=True)
-        result = result + sign * _parse_qsym_term(parser)
-    return result
 
 
 def parse_composition(text: str) -> Composition:
@@ -180,7 +182,8 @@ def parse_tensor(text: str) -> TensorElement:
     Every term must use the same number of factors (two or three).
     """
     parser = _Parser(text)
-    acc: TensorElement | None = None
+    acc: dict[tuple[Composition, ...], int] = {}
+    arity: int | None = None
     sign = _parse_sign(parser, required=False)
     while True:
         coeff = sign
@@ -195,20 +198,19 @@ def parse_tensor(text: str) -> TensorElement:
             raise ParseError(
                 f"tensor terms need 2 or 3 factors, found {len(factors)}"
             )
-        term = TensorElement(len(factors), {tuple(factors): coeff})
-        if acc is None:
-            acc = term
-        else:
-            if acc.arity != term.arity:
-                raise ParseError(
-                    f"tensor terms mix {acc.arity} and {term.arity} factors"
-                )
-            acc = acc + term
+        if arity is None:
+            arity = len(factors)
+        elif arity != len(factors):
+            raise ParseError(
+                f"tensor terms mix {arity} and {len(factors)} factors"
+            )
+        key = tuple(factors)
+        acc[key] = acc.get(key, 0) + coeff
         if parser.at("+") or parser.at("-"):
             sign = _parse_sign(parser, required=True)
             continue
         parser.done()
-        return acc
+        return TensorElement._new(acc, arity)
 
 
 def _parse_beta_term(parser: _Parser) -> BetaElement:

@@ -3,11 +3,14 @@
 Nothing here shares code paths with the package: the product is enumerated
 from its closed-form description as a sum over pairs of strictly increasing
 maps with jointly surjective images, the Lyndon property is decided through
-rotations, and coarsening is iterated adjacent merging.  Agreement between
-these and the package routes is what the tests certify.
+rotations, coarsening is iterated adjacent merging, a face map substitutes
+zeros before renumbering, and the polynomial product convolves coefficient
+dicts index by index.  Agreement between these and the package routes is
+what the tests certify.
 """
 
 from itertools import combinations
+from math import prod
 
 
 def surjection_product(left: tuple[int, ...], right: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -55,3 +58,41 @@ def coarsenings_by_merging(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
                 seen.add(merged)
                 frontier.append(merged)
     return seen
+
+
+def face_map_by_substitution(
+    terms: dict[tuple[int, ...], int], num_vars: int, positions: tuple[int, ...]
+) -> dict[tuple[int, ...], int]:
+    """Keep the 1-based variables in ``positions`` of a polynomial given as
+    {exponent tuple: coefficient}.
+
+    First set every other variable to zero, which kills each monomial that
+    uses one and leaves the rest unchanged; then renumber the kept variables
+    1..m in order.
+    """
+    kept = set(positions)
+    killed = [var for var in range(1, num_vars + 1) if var not in kept]
+    substituted: dict[tuple[int, ...], int] = {}
+    for exps, coeff in terms.items():
+        # a killed variable contributes 0 ** exponent: 1 when absent, else 0
+        value = coeff * prod(0 ** exps[var - 1] for var in killed)
+        if value:
+            substituted[exps] = value
+    renumbered: dict[tuple[int, ...], int] = {}
+    for exps, coeff in substituted.items():
+        key = tuple(exps[var - 1] for var in sorted(kept))
+        renumbered[key] = renumbered.get(key, 0) + coeff
+    return {k: v for k, v in renumbered.items() if v}
+
+
+def polynomial_product(
+    left: dict[tuple[int, ...], int], right: dict[tuple[int, ...], int], num_vars: int
+) -> dict[tuple[int, ...], int]:
+    """The product of two polynomials given as {exponent tuple: coefficient},
+    by convolving the coefficient dicts one exponent index at a time."""
+    acc: dict[tuple[int, ...], int] = {}
+    for a, x in left.items():
+        for b, y in right.items():
+            exps = tuple(a[i] + b[i] for i in range(num_vars))
+            acc[exps] = acc.get(exps, 0) + x * y
+    return {k: v for k, v in acc.items() if v}

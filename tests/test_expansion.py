@@ -1,9 +1,14 @@
 """Polynomial expansions, recognition, face maps, and the rank certificate."""
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qsym.expansion
 from qsym.algebra import QSymElement, monomial
 from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import (
@@ -18,6 +23,7 @@ from qsym.expansion import (
     verify_lyndon_free_generation,
     zero_insertion_holds,
 )
+from reference_impls import face_map_by_substitution, polynomial_product
 
 M = monomial
 
@@ -52,6 +58,19 @@ class TestSparsePolynomial:
     def test_product(self):
         p = SparsePolynomial(2, {(1, 0): 1, (0, 1): 1})
         assert p * p == SparsePolynomial(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_matches_dict_convolution(self, data):
+        num_vars = data.draw(st.sampled_from([0, 1, 5, 6]))
+        polys = st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * num_vars),
+            st.integers(-5, 5).filter(bool),
+            max_size=6,
+        )
+        left, right = data.draw(polys), data.draw(polys)
+        product = SparsePolynomial(num_vars, left) * SparsePolynomial(num_vars, right)
+        assert product == SparsePolynomial(num_vars, polynomial_product(left, right, num_vars))
 
     def test_variable_count_mismatch(self):
         p = SparsePolynomial(2, {(1, 0): 1})
@@ -195,6 +214,23 @@ class TestFaceMaps:
         assert face_map(poly, (1, 2)) == SparsePolynomial(2, {(1, 1): 2})
         assert face_map(poly, (3,)) == SparsePolynomial(1, {(3,): 5})
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_substitution(self, data):
+        num_vars = data.draw(st.integers(0, 6))
+        terms = data.draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * num_vars),
+            st.integers(-5, 5).filter(bool),
+            max_size=8,
+        ))
+        poly = SparsePolynomial(num_vars, terms)
+        every = tuple(range(1, num_vars + 1))
+        mask = data.draw(st.lists(st.booleans(), min_size=num_vars, max_size=num_vars))
+        drawn = tuple(p for p, kept in zip(every, mask) if kept)
+        for positions in [drawn, (), every, *((p,) for p in every)]:
+            expected = face_map_by_substitution(terms, num_vars, positions)
+            assert face_map(poly, positions) == SparsePolynomial(len(positions), expected)
+
     def test_restriction_recovers_smaller_expansion(self):
         from itertools import combinations
 
@@ -283,8 +319,8 @@ class TestLyndonGeneration:
         assert len(matrix) == 8
         assert all(len(row) == 8 for row in matrix)
 
-    def test_free_generation_through_weight_six(self):
-        for weight in range(1, 7):
+    def test_free_generation_through_weight_ten(self):
+        for weight in range(1, 11):
             dimension, count, rank = verify_lyndon_free_generation(weight)
             assert dimension == 2 ** (weight - 1)
             assert count == dimension
@@ -293,3 +329,52 @@ class TestLyndonGeneration:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             verify_lyndon_free_generation(0)
+
+    def test_certificate_rank_matches_elimination(self):
+        for weight in range(1, 8):
+            _, _, rank = verify_lyndon_free_generation(weight)
+            assert rank == rational_rank(lyndon_generation_matrix(weight))
+
+    def test_leading_terms_are_decreasing_concatenations(self):
+        # leading under (length, lex); the coefficient counts how often the
+        # shuffle of equal factors produces the same concatenation
+        for weight in range(1, 9):
+            for multiset in lyndon_monomial_multisets(weight):
+                product = QSymElement.one()
+                for comp in multiset:
+                    product = product * M(comp)
+                lead, coeff = max(product.terms(), key=lambda t: (len(t[0]), t[0]))
+                factors = sorted(multiset, reverse=True)
+                assert lead == tuple(part for comp in factors for part in comp)
+                assert coeff == prod(factorial(m) for m in Counter(multiset).values())
+
+    def test_repeated_multiset_falls_back_to_exact_rank(self, monkeypatch):
+        original = lyndon_monomial_multisets
+
+        def with_repeat(weight):
+            multisets = original(weight)
+            return multisets + multisets[-1:]
+
+        monkeypatch.setattr(qsym.expansion, "lyndon_monomial_multisets", with_repeat)
+        dimension, count, rank = verify_lyndon_free_generation(5)
+        assert (dimension, count) == (16, 17)
+        assert rank == count - 1
+
+    @pytest.mark.parametrize(
+        "multiset", [((3, 1), (2,)), ((1, 1), (1, 1))], ids=["concatenation", "coefficient"]
+    )
+    def test_failed_prediction_falls_back_to_exact_rank(self, monkeypatch, multiset):
+        # non-Lyndon factors: [3,1]*[2] leads with [3,2,1], not the
+        # concatenation [3,1,2]; [1,1]*[1,1] leads with [1,1,1,1], but 6 times
+        factors = tuple(Composition(c) for c in multiset)
+        monkeypatch.setattr(qsym.expansion, "lyndon_monomial_multisets", lambda weight: [factors])
+        ranked = []
+
+        def recording_rank(rows):
+            ranked.append(rows)
+            return rational_rank(rows)
+
+        monkeypatch.setattr(qsym.expansion, "rational_rank", recording_rank)
+        weight = sum(c.weight for c in factors)
+        assert verify_lyndon_free_generation(weight)[1:] == (1, 1)
+        assert len(ranked) == 1

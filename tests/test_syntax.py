@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qsym.algebra import QSymElement, TensorElement, monomial, tensor
 from qsym.chow import BetaElement
-from qsym.compositions import Composition
+from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import SparsePolynomial, expand
 from qsym.syntax import (
     ParseError,
@@ -30,6 +30,15 @@ from qsym.syntax import (
 )
 
 M = monomial
+
+
+def _long_sum_terms() -> list[tuple[Composition, Composition, int]]:
+    """2,000 signed terms over 1,000 compositions, each appearing twice."""
+    comps = [c for w in range(1, 11) for c in enumerate_compositions(w)][:1000]
+    return [
+        (c, comps[i // 2], (-1) ** i * (i % 4 + 1))
+        for i, c in enumerate(comps + comps[::-1])
+    ]
 
 
 class TestParseComposition:
@@ -70,6 +79,14 @@ class TestParseQsym:
         with pytest.raises(ParseError):
             parse_qsym(bad)
 
+    def test_long_sum_matches_termwise_sum(self):
+        terms = _long_sum_terms()
+        text = " ".join(f"{'-' if v < 0 else '+'} {abs(v)}*{c}" for c, _, v in terms)
+        expected = QSymElement.zero()
+        for c, _, v in terms:
+            expected = expected + v * M(c)
+        assert parse_qsym(text) == expected
+
 
 class TestParseTensor:
     def test_two_factors(self):
@@ -87,8 +104,18 @@ class TestParseTensor:
         assert element.coefficient(([], [1])) == -1
 
     def test_mixed_arity_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="tensor terms mix 2 and 3 factors"):
             parse_tensor("[1] (x) [2] + [1] (x) [2] (x) [3]")
+
+    def test_long_sum_matches_termwise_sum(self):
+        terms = _long_sum_terms()
+        text = " ".join(
+            f"{'-' if v < 0 else '+'} {abs(v)}*{c} (x) {d}" for c, d, v in terms
+        )
+        expected = TensorElement(2)
+        for c, d, v in terms:
+            expected = expected + v * tensor(M(c), M(d))
+        assert parse_tensor(text) == expected
 
     @pytest.mark.parametrize("bad", ["", "[1]", "[1] (x)", "(x) [1]", "[1] (x) [2] (x) [3] (x) [4]"])
     def test_rejects(self, bad):
