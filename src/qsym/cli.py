@@ -17,7 +17,6 @@ from .chow import BetaElement, deep_stratum_class, gluing_pullback, marked_point
 from .compositions import Composition, enumerate_lyndon, lyndon_count
 from .expansion import SparsePolynomial, expand
 from .syntax import (
-    ParseError,
     format_beta,
     format_composition,
     format_polynomial,
@@ -149,42 +148,6 @@ def _emit(value, fmt: str) -> str:
     return json.dumps(rendered) if fmt == "json" else rendered
 
 
-def _cmd_mul(args) -> int:
-    result = parse_qsym(args.left) * parse_qsym(args.right)
-    print(_emit(result, args.format))
-    return 0
-
-
-def _cmd_coproduct(args) -> int:
-    print(_emit(parse_qsym(args.element).coproduct(), args.format))
-    return 0
-
-
-def _cmd_antipode(args) -> int:
-    print(_emit(parse_qsym(args.element).antipode(), args.format))
-    return 0
-
-
-def _cmd_counit(args) -> int:
-    print(_emit(parse_qsym(args.element).counit(), args.format))
-    return 0
-
-
-def _cmd_sigma(args) -> int:
-    print(_emit(parse_qsym(args.element).reverse_indices(), args.format))
-    return 0
-
-
-def _cmd_truncate(args) -> int:
-    print(_emit(parse_qsym(args.element).truncate(args.num_vars), args.format))
-    return 0
-
-
-def _cmd_expand(args) -> int:
-    print(_emit(expand(parse_qsym(args.element), args.num_vars), args.format))
-    return 0
-
-
 def _cmd_lyndon(args) -> int:
     if args.action == "count":
         print(_emit(lyndon_count(args.weight), args.format))
@@ -195,22 +158,6 @@ def _cmd_lyndon(args) -> int:
     else:
         for comp in compositions:
             print(_emit(comp, args.format))
-    return 0
-
-
-def _cmd_psi(args) -> int:
-    result = gluing_pullback(parse_qsym(args.element), args.n1, args.n2)
-    print(_emit(result, args.format))
-    return 0
-
-
-def _cmd_tau(args) -> int:
-    print(_emit(marked_point_involution(parse_beta(args.element)), args.format))
-    return 0
-
-
-def _cmd_stratum(args) -> int:
-    print(_emit(deep_stratum_class(args.depth), args.format))
     return 0
 
 
@@ -246,19 +193,21 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
-_COMMANDS = {
-    "mul": _cmd_mul,
-    "coproduct": _cmd_coproduct,
-    "antipode": _cmd_antipode,
-    "counit": _cmd_counit,
-    "sigma": _cmd_sigma,
-    "truncate": _cmd_truncate,
-    "expand": _cmd_expand,
-    "lyndon": _cmd_lyndon,
-    "psi": _cmd_psi,
-    "tau": _cmd_tau,
-    "stratum": _cmd_stratum,
-    "verify": _cmd_verify,
+# The value each single-result command prints.  The lambdas look up module
+# globals and call methods by attribute at call time, so tracing that patches
+# module bindings and class attributes (bench/tracing.py) reaches them; a
+# method object stored here would escape it.
+_VALUES = {
+    "mul": lambda args: parse_qsym(args.left) * parse_qsym(args.right),
+    "coproduct": lambda args: parse_qsym(args.element).coproduct(),
+    "antipode": lambda args: parse_qsym(args.element).antipode(),
+    "counit": lambda args: parse_qsym(args.element).counit(),
+    "sigma": lambda args: parse_qsym(args.element).reverse_indices(),
+    "truncate": lambda args: parse_qsym(args.element).truncate(args.num_vars),
+    "expand": lambda args: expand(parse_qsym(args.element), args.num_vars),
+    "psi": lambda args: gluing_pullback(parse_qsym(args.element), args.n1, args.n2),
+    "tau": lambda args: marked_point_involution(parse_beta(args.element)),
+    "stratum": lambda args: deep_stratum_class(args.depth),
 }
 
 
@@ -270,10 +219,12 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.command == "lyndon":
+            return _cmd_lyndon(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        print(_emit(_VALUES[args.command](args), args.format))
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,13 +11,17 @@ One tokenizer serves every reader.  The surface syntax is small:
   most one ``b`` power per term
 
 Printers emit the same syntax back, always in canonical term order, so
-formatting is deterministic and round-trips through the parsers.  JSON and
-LaTeX renderers are write-only.
+formatting is deterministic and round-trips through the parsers.  Text and
+LaTeX come from one printer per type, spelled by a style table (``_TEXT`` or
+``_LATEX``: brackets, separators, ``b`` or ``\\beta``, variable names and
+powers).  JSON renderers build data instead of strings, so they stay
+separate.  LaTeX and JSON are write-only.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from .algebra import QSymElement, TensorElement
 from .chow import BetaElement
@@ -213,7 +217,7 @@ def parse_tensor(text: str) -> TensorElement:
         return TensorElement._new(acc, arity)
 
 
-def _parse_beta_term(parser: _Parser) -> BetaElement:
+def _parse_beta_term(parser: _Parser) -> tuple[int, QSymElement]:
     scalar = QSymElement.one()
     beta_power: int | None = None
     while True:
@@ -246,115 +250,172 @@ def _parse_beta_term(parser: _Parser) -> BetaElement:
         if parser.at("*"):
             parser.advance()
             continue
-        return BetaElement({beta_power if beta_power is not None else 0: scalar})
+        return (beta_power if beta_power is not None else 0), scalar
 
 
 def parse_beta(text: str) -> BetaElement:
     """Read a beta polynomial like ``([1]+2)*b^2 + [1,1] - b``."""
     parser = _Parser(text)
+    acc: dict[int, dict[Composition, int]] = {}
     sign = _parse_sign(parser, required=False)
-    result = sign * _parse_beta_term(parser)
-    while parser.at("+") or parser.at("-"):
+    while True:
+        power, scalar = _parse_beta_term(parser)
+        row = acc.setdefault(power, {})
+        for comp, coeff in scalar._terms.items():
+            row[comp] = row.get(comp, 0) + sign * coeff
+        if not (parser.at("+") or parser.at("-")):
+            break
         sign = _parse_sign(parser, required=True)
-        result = result + sign * _parse_beta_term(parser)
     parser.done()
-    return result
+    return BetaElement._new({p: QSymElement._new(row) for p, row in acc.items()})
 
 
-# -- text printers ---------------------------------------------------------
+# -- text and LaTeX printers ----------------------------------------------
+
+
+class _Style(NamedTuple):
+    """How one output format spells the pieces every printer shares."""
+
+    open: str  # composition brackets
+    close: str
+    times: str  # between a coefficient and its body, and between factors
+    otimes: str  # between tensor factors
+    tensor_times: str  # between a coefficient and a tensor term
+    empty_factor: str  # the empty composition as a tensor factor
+    beta: str
+    variable: str  # template for the variable with a given 1-based index
+    power: str  # template for a base raised to an exponent other than 1
+
+
+_TEXT = _Style("[", "]", "*", " (x) ", "*", "[]", "b", "a{}", "{}^{}")
+_LATEX = _Style(
+    "M_{(", ")}", "", " \\otimes ", "\\,", "1", "\\beta", "\\alpha_{{{}}}", "{}^{{{}}}"
+)
+
+
+def _join_signed(parts: list[str]) -> str:
+    """Join ``+ x``/``- x`` parts; the first part keeps only a minus sign."""
+    if not parts:
+        return "0"
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def _term(coeff: int, body: str, times: str) -> str:
+    """One signed part: the sign, then |coeff|, then ``times``, then ``body``.
+
+    A coefficient of magnitude 1 is left out, and an empty body leaves the
+    bare number.
+    """
+    sign = "- " if coeff < 0 else "+ "
+    a = abs(coeff)
+    if not body:
+        return sign + str(a)
+    return sign + body if a == 1 else f"{sign}{a}{times}{body}"
+
+
+def _power(base: str, exponent: int, style: _Style) -> str:
+    return base if exponent == 1 else style.power.format(base, exponent)
+
+
+def _composition(comp: Composition, style: _Style) -> str:
+    return style.open + ",".join(map(str, comp)) + style.close
+
+
+def _qsym_parts(element: QSymElement, style: _Style) -> list[str]:
+    return [
+        _term(coeff, _composition(comp, style) if comp else "", style.times)
+        for comp, coeff in element.terms()
+    ]
+
+
+def _qsym(element: QSymElement, style: _Style) -> str:
+    return _join_signed(_qsym_parts(element, style))
+
+
+def _tensor(element: TensorElement, style: _Style) -> str:
+    return _join_signed([
+        _term(
+            coeff,
+            style.otimes.join([
+                _composition(c, style) if c else style.empty_factor for c in key
+            ]),
+            style.tensor_times,
+        )
+        for key, coeff in element.terms()
+    ])
+
+
+def _beta(element: BetaElement, style: _Style) -> str:
+    parts: list[str] = []
+    for power, value in element.terms():
+        if power == 0:
+            parts += _qsym_parts(value, style)
+            continue
+        beta = _power(style.beta, power, style)
+        if len(value) == 1:
+            ((comp, coeff),) = value.terms()
+            if comp:
+                beta = _composition(comp, style) + style.times + beta
+            parts.append(_term(coeff, beta, style.times))
+        else:
+            parts.append("+ (" + _qsym(value, style) + ")" + style.times + beta)
+    return _join_signed(parts)
+
+
+def _polynomial(poly: SparsePolynomial, style: _Style) -> str:
+    return _join_signed([
+        _term(
+            coeff,
+            style.times.join([
+                _power(style.variable.format(i), e, style)
+                for i, e in enumerate(exps, 1)
+                if e
+            ]),
+            style.times,
+        )
+        for exps, coeff in poly.terms()
+    ])
 
 
 def format_composition(comp: Composition) -> str:
-    return "[" + ",".join(str(p) for p in comp) + "]"
-
-
-def _join_signed(parts: list[tuple[int, str]]) -> str:
-    if not parts:
-        return "0"
-    pieces = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            pieces.append(("-" if sign < 0 else "") + body)
-        else:
-            pieces.append(("- " if sign < 0 else "+ ") + body)
-    return " ".join(pieces)
-
-
-def _qsym_signed_parts(element: QSymElement) -> list[tuple[int, str]]:
-    parts = []
-    for comp, coeff in element.terms():
-        sign = -1 if coeff < 0 else 1
-        a = abs(coeff)
-        if len(comp) == 0:
-            body = str(a)
-        elif a == 1:
-            body = format_composition(comp)
-        else:
-            body = f"{a}*{format_composition(comp)}"
-        parts.append((sign, body))
-    return parts
+    return _composition(comp, _TEXT)
 
 
 def format_qsym(element: QSymElement) -> str:
-    return _join_signed(_qsym_signed_parts(element))
+    return _qsym(element, _TEXT)
 
 
 def format_tensor(element: TensorElement) -> str:
-    parts = []
-    for key, coeff in element.terms():
-        sign = -1 if coeff < 0 else 1
-        a = abs(coeff)
-        body = " (x) ".join(format_composition(c) for c in key)
-        if a != 1:
-            body = f"{a}*{body}"
-        parts.append((sign, body))
-    return _join_signed(parts)
-
-
-def _beta_power_text(power: int) -> str:
-    return "b" if power == 1 else f"b^{power}"
+    return _tensor(element, _TEXT)
 
 
 def format_beta(element: BetaElement) -> str:
-    parts: list[tuple[int, str]] = []
-    for power, value in element.terms():
-        if power == 0:
-            parts.extend(_qsym_signed_parts(value))
-            continue
-        if len(value) == 1:
-            ((comp, coeff),) = value.terms()
-            sign = -1 if coeff < 0 else 1
-            a = abs(coeff)
-            pieces = []
-            if a != 1:
-                pieces.append(str(a))
-            if len(comp) > 0:
-                pieces.append(format_composition(comp))
-            pieces.append(_beta_power_text(power))
-            parts.append((sign, "*".join(pieces)))
-        else:
-            parts.append((1, f"({format_qsym(value)})*{_beta_power_text(power)}"))
-    return _join_signed(parts)
+    return _beta(element, _TEXT)
 
 
 def format_polynomial(poly: SparsePolynomial) -> str:
-    parts = []
-    for exps, coeff in poly.terms():
-        sign = -1 if coeff < 0 else 1
-        a = abs(coeff)
-        pieces = [
-            f"a{i + 1}" if e == 1 else f"a{i + 1}^{e}"
-            for i, e in enumerate(exps)
-            if e
-        ]
-        if not pieces:
-            body = str(a)
-        elif a == 1:
-            body = "*".join(pieces)
-        else:
-            body = "*".join([str(a)] + pieces)
-        parts.append((sign, body))
-    return _join_signed(parts)
+    return _polynomial(poly, _TEXT)
+
+
+def latex_composition(comp: Composition) -> str:
+    return _composition(comp, _LATEX)
+
+
+def latex_qsym(element: QSymElement) -> str:
+    return _qsym(element, _LATEX)
+
+
+def latex_tensor(element: TensorElement) -> str:
+    return _tensor(element, _LATEX)
+
+
+def latex_beta(element: BetaElement) -> str:
+    return _beta(element, _LATEX)
+
+
+def latex_polynomial(poly: SparsePolynomial) -> str:
+    return _polynomial(poly, _LATEX)
 
 
 # -- JSON renderers --------------------------------------------------------
@@ -362,14 +423,14 @@ def format_polynomial(poly: SparsePolynomial) -> str:
 
 def json_qsym(element: QSymElement) -> list[dict]:
     return [
-        {"composition": list(comp.parts), "coefficient": coeff}
+        {"composition": list(comp), "coefficient": coeff}
         for comp, coeff in element.terms()
     ]
 
 
 def json_tensor(element: TensorElement) -> list[dict]:
     return [
-        {"factors": [list(c.parts) for c in key], "coefficient": coeff}
+        {"factors": [list(c) for c in key], "coefficient": coeff}
         for key, coeff in element.terms()
     ]
 
@@ -389,89 +450,3 @@ def json_polynomial(poly: SparsePolynomial) -> dict:
             for exps, coeff in poly.terms()
         ],
     }
-
-
-# -- LaTeX renderers -------------------------------------------------------
-
-
-def latex_composition(comp: Composition) -> str:
-    return "M_{(" + ",".join(str(p) for p in comp) + ")}"
-
-
-def _qsym_latex_parts(element: QSymElement) -> list[tuple[int, str]]:
-    parts = []
-    for comp, coeff in element.terms():
-        sign = -1 if coeff < 0 else 1
-        a = abs(coeff)
-        if len(comp) == 0:
-            body = str(a)
-        elif a == 1:
-            body = latex_composition(comp)
-        else:
-            body = f"{a}{latex_composition(comp)}"
-        parts.append((sign, body))
-    return parts
-
-
-def latex_qsym(element: QSymElement) -> str:
-    return _join_signed(_qsym_latex_parts(element))
-
-
-def latex_tensor(element: TensorElement) -> str:
-    parts = []
-    for key, coeff in element.terms():
-        sign = -1 if coeff < 0 else 1
-        a = abs(coeff)
-        body = " \\otimes ".join(
-            "1" if len(c) == 0 else latex_composition(c) for c in key
-        )
-        if a != 1:
-            body = f"{a}\\," + body
-        parts.append((sign, body))
-    return _join_signed(parts)
-
-
-def _beta_power_latex(power: int) -> str:
-    return "\\beta" if power == 1 else f"\\beta^{{{power}}}"
-
-
-def latex_beta(element: BetaElement) -> str:
-    parts: list[tuple[int, str]] = []
-    for power, value in element.terms():
-        if power == 0:
-            parts.extend(_qsym_latex_parts(value))
-            continue
-        if len(value) == 1:
-            ((comp, coeff),) = value.terms()
-            sign = -1 if coeff < 0 else 1
-            a = abs(coeff)
-            body = ""
-            if a != 1:
-                body += str(a)
-            if len(comp) > 0:
-                body += latex_composition(comp)
-            body += _beta_power_latex(power)
-            parts.append((sign, body))
-        else:
-            parts.append((1, f"({latex_qsym(value)}){_beta_power_latex(power)}"))
-    return _join_signed(parts)
-
-
-def latex_polynomial(poly: SparsePolynomial) -> str:
-    parts = []
-    for exps, coeff in poly.terms():
-        sign = -1 if coeff < 0 else 1
-        a = abs(coeff)
-        pieces = [
-            f"\\alpha_{{{i + 1}}}" if e == 1 else f"\\alpha_{{{i + 1}}}^{{{e}}}"
-            for i, e in enumerate(exps)
-            if e
-        ]
-        if not pieces:
-            body = str(a)
-        elif a == 1:
-            body = "".join(pieces)
-        else:
-            body = str(a) + "".join(pieces)
-        parts.append((sign, body))
-    return _join_signed(parts)

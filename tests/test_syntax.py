@@ -20,6 +20,7 @@ from qsym.syntax import (
     json_qsym,
     json_tensor,
     latex_beta,
+    latex_composition,
     latex_polynomial,
     latex_qsym,
     latex_tensor,
@@ -152,6 +153,17 @@ class TestParseBeta:
         with pytest.raises(ParseError):
             parse_beta(bad)
 
+    def test_long_sum_matches_termwise_sum(self):
+        terms = _long_sum_terms()
+        text = " ".join(
+            f"{'-' if v < 0 else '+'} {abs(v)}*{c}*b^{i % 3}"
+            for i, (c, _, v) in enumerate(terms)
+        )
+        expected = BetaElement.zero()
+        for i, (c, _, v) in enumerate(terms):
+            expected = expected + BetaElement({i % 3: v * M(c)})
+        assert parse_beta(text) == expected
+
 
 class TestFormatting:
     def test_composition(self):
@@ -189,6 +201,99 @@ class TestFormatting:
     def test_polynomial_descending_graded_lex(self):
         poly = SparsePolynomial(2, {(0, 1): 1, (1, 0): 1, (1, 1): 1})
         assert format_polynomial(poly) == "a1*a2 + a1 + a2"
+
+
+# Text and LaTeX of each type: the zero element, constants, the empty
+# composition, coefficients of both signs with and without magnitude 1, tensor
+# factors that are empty, and beta powers with and without a composition.
+_PRINTERS = {
+    Composition: (format_composition, latex_composition),
+    QSymElement: (format_qsym, latex_qsym),
+    TensorElement: (format_tensor, latex_tensor),
+    BetaElement: (format_beta, latex_beta),
+    SparsePolynomial: (format_polynomial, latex_polynomial),
+}
+_C = Composition
+_PRINTED = {
+    "composition-empty": (_C(), "[]", "M_{()}"),
+    "composition": (_C([3, 1, 4]), "[3,1,4]", "M_{(3,1,4)}"),
+    "composition-big-part": (_C([12, 1]), "[12,1]", "M_{(12,1)}"),
+    "qsym-zero": (QSymElement.zero(), "0", "0"),
+    "qsym-one": (QSymElement.one(), "1", "1"),
+    "qsym-constant": (QSymElement.from_int(-5), "-5", "-5"),
+    "qsym-plus-one": (M([2]), "[2]", "M_{(2)}"),
+    "qsym-minus-one": (-M([2]), "-[2]", "-M_{(2)}"),
+    "qsym-plus-k": (3 * M([1, 2]), "3*[1,2]", "3M_{(1,2)}"),
+    "qsym-minus-k": (-4 * M([2, 1, 1]), "-4*[2,1,1]", "-4M_{(2,1,1)}"),
+    "qsym-mixed": (
+        3 * M([1, 2]) - M([2, 1]) + 1,
+        "1 + 3*[1,2] - [2,1]",
+        "1 + 3M_{(1,2)} - M_{(2,1)}",
+    ),
+    "tensor-zero": (TensorElement(2), "0", "0"),
+    "tensor-zero-3": (TensorElement(3), "0", "0"),
+    "tensor-unit": (TensorElement.unit(2), "[] (x) []", "1 \\otimes 1"),
+    "tensor-2": (
+        TensorElement(2, {(_C([3, 1]), _C([4])): 2, (_C(), _C([1])): -1}),
+        "-[] (x) [1] + 2*[3,1] (x) [4]",
+        "-1 \\otimes M_{(1)} + 2\\,M_{(3,1)} \\otimes M_{(4)}",
+    ),
+    "tensor-3": (
+        TensorElement(3, {
+            (_C(), _C([2, 1]), _C()): 2,
+            (_C([1]), _C(), _C([3])): -1,
+            (_C(), _C(), _C()): -3,
+            (_C([1]), _C([1]), _C([1])): 1,
+        }),
+        "-3*[] (x) [] (x) [] + 2*[] (x) [2,1] (x) [] - [1] (x) [] (x) [3]"
+        " + [1] (x) [1] (x) [1]",
+        "-3\\,1 \\otimes 1 \\otimes 1 + 2\\,1 \\otimes M_{(2,1)} \\otimes 1"
+        " - M_{(1)} \\otimes 1 \\otimes M_{(3)}"
+        " + M_{(1)} \\otimes M_{(1)} \\otimes M_{(1)}",
+    ),
+    "beta-zero": (BetaElement.zero(), "0", "0"),
+    "beta-one": (BetaElement.one(), "1", "1"),
+    "beta-constant": (BetaElement({0: QSymElement.from_int(4)}), "4", "4"),
+    "beta": (BetaElement.beta(), "b", "\\beta"),
+    "beta-minus": (-BetaElement.beta(), "-b", "-\\beta"),
+    "beta-constant-power": (
+        BetaElement({2: QSymElement.from_int(-3)}), "-3*b^2", "-3\\beta^{2}"
+    ),
+    "beta-composition-coefficient": (
+        BetaElement({1: 2 * M([1])}), "2*[1]*b", "2M_{(1)}\\beta"
+    ),
+    "beta-composition": (BetaElement({3: -M([1])}), "-[1]*b^3", "-M_{(1)}\\beta^{3}"),
+    "beta-composition-power": (
+        BetaElement({4: M([1, 2])}), "[1,2]*b^4", "M_{(1,2)}\\beta^{4}"
+    ),
+    "beta-multi-term": (
+        BetaElement({2: M([1]) + 2, 0: M([1, 1])}),
+        "(2 + [1])*b^2 + [1,1]",
+        "(2 + M_{(1)})\\beta^{2} + M_{(1,1)}",
+    ),
+    "beta-mixed": (
+        BetaElement({2: -7 * M([2]), 1: M([1]) - 2 * M([2, 1]), 0: 3 * M([1]) - 5}),
+        "-7*[2]*b^2 + ([1] - 2*[2,1])*b - 5 + 3*[1]",
+        "-7M_{(2)}\\beta^{2} + (M_{(1)} - 2M_{(2,1)})\\beta - 5 + 3M_{(1)}",
+    ),
+    "polynomial-zero": (SparsePolynomial.zero(2), "0", "0"),
+    "polynomial-constant": (SparsePolynomial.constant(2, -3), "-3", "-3"),
+    "polynomial-linear": (SparsePolynomial(2, {(1, 0): 1}), "a1", "\\alpha_{1}"),
+    "polynomial-power": (SparsePolynomial(2, {(0, 3): -1}), "-a2^3", "-\\alpha_{2}^{3}"),
+    "polynomial-mixed": (
+        SparsePolynomial(3, {(2, 1, 0): 2, (0, 0, 1): 1, (0, 0, 0): -7, (1, 1, 1): -4}),
+        "2*a1^2*a2 - 4*a1*a2*a3 + a3 - 7",
+        "2\\alpha_{1}^{2}\\alpha_{2} - 4\\alpha_{1}\\alpha_{2}\\alpha_{3}"
+        " + \\alpha_{3} - 7",
+    ),
+}
+
+
+@pytest.mark.parametrize("value, text, latex", _PRINTED.values(), ids=_PRINTED)
+def test_printer_table(value, text, latex):
+    format_text, format_latex = _PRINTERS[type(value)]
+    assert format_text(value) == text
+    assert format_latex(value) == latex
 
 
 class TestRoundTrips:
