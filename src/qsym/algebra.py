@@ -21,7 +21,7 @@ CompositionLike = Composition | Iterable[int]
 _EMPTY = Composition()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[Composition, int], ...]:
     """Quasi-shuffle of two part tuples as ((composition, coefficient), ...).
 

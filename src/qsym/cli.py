@@ -4,6 +4,11 @@ Every subcommand reads elements in the surface syntax of :mod:`qsym.syntax`
 and writes to stdout in one of three formats (``--format text|json|latex``).
 Output is deterministic: terms always appear in canonical order.  Malformed
 input exits with status 2; a failed verification suite exits with status 1.
+
+:func:`run` may be called many times in one process.  The argument parser is
+built once, on the first call, and reused; the kernel caches behind it
+(``algebra._quasi_shuffle`` and ``expansion._basis_expansion``) hold at most
+4,096 entries each, so a long-lived caller's memory stays bounded.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .algebra import QSymElement, TensorElement
 from .chow import BetaElement, deep_stratum_class, gluing_pullback, marked_point_involution
@@ -46,6 +52,10 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# Built on first use rather than at import, and reused: parse_args returns a
+# fresh Namespace per call, help and usage are formatted at print time, and the
+# verify suite choices are names only (SUITES values are looked up per call).
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsym",
@@ -180,8 +190,9 @@ def _cmd_verify(args) -> int:
     else:
         total = passed = 0
         for name in names:
+            checks = run_suite(name, args.max_degree)
             print(f"{name}:")
-            for check in run_suite(name, args.max_degree):
+            for check in checks:
                 total += 1
                 if check.passed:
                     passed += 1
@@ -213,9 +224,8 @@ _VALUES = {
 
 def run(argv: list[str]) -> int:
     """Run one invocation and return its exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -100,7 +100,7 @@ class SparsePolynomial(_Sparse):
         return self._new(acc, self._shape)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _basis_expansion(parts: tuple[int, ...], num_vars: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of a basis element in ``num_vars`` variables.
 

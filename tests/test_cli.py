@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qsym import algebra, cli, expansion
 from qsym.cli import run
 
 
@@ -177,6 +178,12 @@ class TestVerifyCommand:
         code, out, _ = invoke(capsys, "verify", "hopf")
         assert code == 1
         assert "FAIL constructed-failure" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_degree_prints_nothing(self, capsys, fmt):
+        code, out, err = invoke(capsys, "verify", "hopf", "--max-degree", "-1", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: max degree must be nonnegative, got -1\n"
 
 
 class TestErrorHandling:
@@ -421,6 +428,23 @@ GOLDEN = [
         "M_{(1,1,1)}\n",
     ),
 ]
+
+
+class TestLongLivedProcess:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_after_errors_and_help(self, capsys):
+        assert invoke(capsys, "mul", "[1]")[0] == 2
+        assert invoke(capsys, "mul", "[1,", "[1]")[0] == 2
+        first_help = invoke(capsys, "--help")
+        argv, expected = GOLDEN[0]
+        assert invoke(capsys, *argv) == (0, expected, "")
+        assert invoke(capsys, "--help") == first_help
+
+    @pytest.mark.parametrize("kernel", [algebra._quasi_shuffle, expansion._basis_expansion])
+    def test_kernel_caches_are_bounded(self, kernel):
+        assert kernel.cache_info().maxsize is not None
 
 
 @pytest.mark.parametrize(
