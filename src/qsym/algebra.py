@@ -216,9 +216,6 @@ class QSymElement(_Sparse):
     def coefficient(self, composition: CompositionLike) -> int:
         return self._terms.get(Composition(composition), 0)
 
-    def support(self) -> list[Composition]:
-        return [comp for comp, _ in self.terms()]
-
     def is_homogeneous(self) -> bool:
         return len({c.weight for c in self._terms}) <= 1
 

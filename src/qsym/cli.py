@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from .algebra import QSymElement, TensorElement
@@ -172,36 +173,21 @@ def _cmd_lyndon(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = [args.suite] if args.suite else list(SUITES)
-    all_passed = True
-    if args.format == "json":
-        report = []
-        for name in names:
-            checks = run_suite(name, args.max_degree)
-            all_passed = all_passed and all(c.passed for c in checks)
-            report.append({
-                "suite": name,
-                "checks": [
-                    {"name": c.name, "passed": c.passed, "detail": c.detail}
-                    for c in checks
-                ],
-            })
-        print(json.dumps(report))
-    else:
-        total = passed = 0
-        for name in names:
-            checks = run_suite(name, args.max_degree)
+    report, verdicts = [], []
+    for name in [args.suite] if args.suite else SUITES:
+        checks = run_suite(name, args.max_degree)
+        verdicts += [check.passed for check in checks]
+        if args.format == "json":
+            report.append({"suite": name, "checks": [asdict(check) for check in checks]})
+        else:
             print(f"{name}:")
             for check in checks:
-                total += 1
-                if check.passed:
-                    passed += 1
-                    print(f"  ok {check.name}: {check.detail}")
-                else:
-                    all_passed = False
-                    print(f"  FAIL {check.name}: {check.detail}")
-        print(f"{passed}/{total} checks passed")
-    return 0 if all_passed else 1
+                print(f"  {'ok' if check.passed else 'FAIL'} {check.name}: {check.detail}")
+    if args.format == "json":
+        print(json.dumps(report))
+    else:
+        print(f"{sum(verdicts)}/{len(verdicts)} checks passed")
+    return 0 if all(verdicts) else 1
 
 
 # The value each single-result command prints.  The lambdas look up module

@@ -4,13 +4,17 @@ Each suite sweeps every basis element (or pair) up to a weight bound and
 returns one :class:`Check` per property.  The bounds are arguments so the
 command line can push them higher; the defaults keep every suite under a few
 seconds while still covering all compositions of the stated weights.
+
+Every swept check runs through :func:`_sweep`.  The number in its detail is
+the number of cases it swept; a failure names the first failing case and
+counts the rest ("failed at ([], [1]) and 7 more").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import (
     QSymElement,
@@ -51,339 +55,257 @@ class Check:
 
 
 def _basis(max_degree: int) -> list[Composition]:
-    out: list[Composition] = []
-    for d in range(max_degree + 1):
-        out.extend(enumerate_compositions(d))
-    return out
+    return [comp for d in range(max_degree + 1) for comp in enumerate_compositions(d)]
 
 
-def _pairs(max_total: int) -> list[tuple[Composition, Composition]]:
+def _pairs(max_total: int) -> Iterator[tuple[Composition, Composition]]:
     basis = _basis(max_total)
-    return [(a, b) for a in basis for b in basis if a.weight + b.weight <= max_total]
+    return ((a, b) for a in basis for b in basis if a.weight + b.weight <= max_total)
 
 
-def _verdict(name: str, failures: list[str], detail: str) -> Check:
-    if failures:
-        return Check(name, False, f"failed at {failures[0]}" + (
-            f" and {len(failures) - 1} more" if len(failures) > 1 else ""
-        ))
-    return Check(name, True, detail)
+_pair_label = "({}, {})".format
+
+
+def _sweep(
+    name: str,
+    cases: Iterable[tuple],
+    holds: Callable[..., bool],
+    detail: str,
+    label: Callable[..., str] = str,
+) -> Check:
+    """Check ``holds(*case)`` on every case, counting the cases.
+
+    A pass reports ``detail.format(count)``; a failure names the first failing
+    case by ``label(*case)`` and counts the rest.  ``zip(items)`` gives one-entry
+    cases; a ``str.format`` label ignores trailing entries only ``holds`` needs.
+    """
+    count = failed = 0
+    first = ""
+    for case in cases:
+        count += 1
+        if not holds(*case):
+            failed += 1
+            if failed == 1:
+                first = label(*case)
+    if not failed:
+        return Check(name, True, detail.format(count))
+    return Check(name, False, f"failed at {first}" + (f" and {failed - 1} more" if failed > 1 else ""))
 
 
 def hopf_checks(max_degree: int = 6) -> list[Check]:
     """Coassociativity, counit, bialgebra, antipode, and involutivity sweeps."""
     basis = _basis(max_degree)
-    checks: list[Check] = []
 
-    failures = []
-    for comp in basis:
+    def coassociative(comp):
         delta = QSymElement.monomial(comp).coproduct()
-        if coproduct_first(delta) != coproduct_second(delta):
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "coassociativity",
-        failures,
-        f"(D x id)D = (id x D)D on all {len(basis)} basis elements through weight {max_degree}",
-    ))
+        return coproduct_first(delta) == coproduct_second(delta)
 
-    failures = []
-    for comp in basis:
+    def counital(comp):
         f = QSymElement.monomial(comp)
         delta = f.coproduct()
-        if counit_first(delta) != f or counit_second(delta) != f:
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "counit",
-        failures,
-        f"both counit contractions of D restore all {len(basis)} basis elements",
-    ))
+        return counit_first(delta) == f and counit_second(delta) == f
 
-    pairs = _pairs(max_degree)
-    failures = []
-    for a, b in pairs:
+    def bialgebra(a, b):
         fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
         product = fa * fb
-        if product.coproduct() != fa.coproduct() * fb.coproduct():
-            failures.append(f"({a}, {b})")
-        if product.counit() != fa.counit() * fb.counit():
-            failures.append(f"({a}, {b})")
-    checks.append(_verdict(
-        "bialgebra",
-        failures,
-        f"D and the counit are ring maps on {len(pairs)} basis pairs with total weight <= {max_degree}",
-    ))
+        return (product.coproduct() == fa.coproduct() * fb.coproduct()
+                and product.counit() == fa.counit() * fb.counit())
 
-    failures = []
-    for comp in basis:
+    def antipodal(comp):
         f = QSymElement.monomial(comp)
         delta = f.coproduct()
         unit_part = QSymElement.from_int(f.counit())
-        left = contract_product(map_slot(delta, 0, QSymElement.antipode))
-        right = contract_product(map_slot(delta, 1, QSymElement.antipode))
-        if left != unit_part or right != unit_part:
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "antipode",
-        failures,
-        f"m(S x id)D = m(id x S)D = unit.counit on all {len(basis)} basis elements",
-    ))
+        return all(contract_product(map_slot(delta, slot, QSymElement.antipode)) == unit_part
+                   for slot in (0, 1))
 
-    failures = []
-    for comp in basis:
+    def antipode_involutive(comp):
         f = QSymElement.monomial(comp)
-        if f.antipode().antipode() != f:
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "antipode-squared",
-        failures,
-        f"S.S = id on all {len(basis)} basis elements (commutative case)",
-    ))
+        return f.antipode().antipode() == f
 
-    return checks
+    return [
+        _sweep("coassociativity", zip(basis), coassociative,
+               f"(D x id)D = (id x D)D on all {{}} basis elements through weight {max_degree}"),
+        _sweep("counit", zip(basis), counital,
+               "both counit contractions of D restore all {} basis elements"),
+        _sweep("bialgebra", _pairs(max_degree), bialgebra,
+               f"D and the counit are ring maps on {{}} basis pairs with total weight <= {max_degree}",
+               _pair_label),
+        _sweep("antipode", zip(basis), antipodal,
+               "m(S x id)D = m(id x S)D = unit.counit on all {} basis elements"),
+        _sweep("antipode-squared", zip(basis), antipode_involutive,
+               "S.S = id on all {} basis elements (commutative case)"),
+    ]
 
 
 def oracle_checks(max_degree: int = 7) -> list[Check]:
     """The quasi-shuffle recursion against honest polynomial multiplication."""
-    checks: list[Check] = []
 
-    pairs = [(a, b) for a, b in _pairs(max_degree) if len(a) and len(b)]
-    failures = []
-    for a, b in pairs:
+    def product_expands(a, b):
         n = a.weight + b.weight
         fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
-        if expand(fa * fb, n) != expand(fa, n) * expand(fb, n):
-            failures.append(f"({a}, {b})")
-    checks.append(_verdict(
-        "product-expansion",
-        failures,
-        f"expanding the product matches multiplying expansions on {len(pairs)} pairs with total weight <= {max_degree}",
-    ))
+        return expand(fa * fb, n) == expand(fa, n) * expand(fb, n)
 
-    basis = _basis(max_degree)
-    failures = []
-    for comp in basis:
+    def round_trips(comp):
         f = QSymElement.monomial(comp)
         poly = expand(f, max(comp.weight, 1))
-        if not is_quasisymmetric(poly):
-            failures.append(str(comp))
-        elif from_polynomial(poly) != f:
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "expansion-round-trip",
-        failures,
-        f"expansions are quasisymmetric and read back exactly for all {len(basis)} basis elements",
-    ))
+        return is_quasisymmetric(poly) and from_polynomial(poly) == f
 
-    return checks
+    return [
+        _sweep("product-expansion",
+               ((a, b) for a, b in _pairs(max_degree) if len(a) and len(b)), product_expands,
+               "expanding the product matches multiplying expansions on {} pairs"
+               f" with total weight <= {max_degree}",
+               _pair_label),
+        _sweep("expansion-round-trip", zip(_basis(max_degree)), round_trips,
+               "expansions are quasisymmetric and read back exactly for all {} basis elements"),
+    ]
 
 
 def limit_checks(max_degree: int = 5) -> list[Check]:
     """Coherence of the finite-variable expansions under variable killing."""
     basis = _basis(max_degree)
-    checks: list[Check] = []
+    degrees = range(max_degree + 1)
 
-    failures = []
-    count = 0
-    for comp in basis:
-        f = QSymElement.monomial(comp)
-        for n in range(max_degree + 1):
-            for slot in range(1, n + 2):
-                count += 1
-                if not zero_insertion_holds(f, n, slot):
-                    failures.append(f"({comp}, n={n}, slot={slot})")
-    checks.append(_verdict(
-        "zero-insertion",
-        failures,
-        f"killing any one variable restores the smaller expansion ({count} cases)",
-    ))
+    def insertions():
+        for comp in basis:
+            f = QSymElement.monomial(comp)
+            for n in degrees:
+                for slot in range(1, n + 2):
+                    yield comp, n, slot, f
 
-    failures = []
-    count = 0
-    for comp in basis:
-        f = QSymElement.monomial(comp)
-        expansions = [expand(f, n) for n in range(max_degree + 1)]
-        for n, poly in enumerate(expansions):
-            for m in range(n + 1):
-                for chosen in combinations(range(1, n + 1), m):
-                    count += 1
-                    if face_map(poly, chosen) != expansions[m]:
-                        failures.append(f"({comp}, keep={chosen})")
-    checks.append(_verdict(
-        "restriction",
-        failures,
-        f"keeping any increasing set of variables restores the smaller expansion ({count} cases)",
-    ))
+    def restrictions():
+        for comp in basis:
+            f = QSymElement.monomial(comp)
+            expansions = [expand(f, n) for n in degrees]
+            for n, poly in enumerate(expansions):
+                for m in range(n + 1):
+                    for kept in combinations(range(1, n + 1), m):
+                        yield comp, kept, poly, expansions[m]
 
-    failures = []
-    count = 0
-    for comp in basis:
-        poly = expand(QSymElement.monomial(comp), max_degree)
-        selected = {
-            kept: face_map(poly, kept)
-            for m in range(max_degree + 1)
-            for kept in combinations(range(1, max_degree + 1), m)
-        }
-        for outer, inner_poly in selected.items():
-            m = len(outer)
-            for k in range(m + 1):
-                for inner in combinations(range(1, m + 1), k):
-                    count += 1
-                    composed = tuple(outer[i - 1] for i in inner)
-                    if face_map(inner_poly, inner) != selected[composed]:
-                        failures.append(f"({comp}, {outer}, {inner})")
-    checks.append(_verdict(
-        "restriction-composition",
-        failures,
-        f"composing variable selections agrees with selecting once ({count} cases)",
-    ))
+    def composed_restrictions():
+        for comp in basis:
+            poly = expand(QSymElement.monomial(comp), max_degree)
+            selected = {
+                kept: face_map(poly, kept)
+                for m in degrees
+                for kept in combinations(range(1, max_degree + 1), m)
+            }
+            for outer, outer_poly in selected.items():
+                for k in range(len(outer) + 1):
+                    for inner in combinations(range(1, len(outer) + 1), k):
+                        composed = tuple(outer[i - 1] for i in inner)
+                        yield comp, outer, inner, outer_poly, selected[composed]
 
-    return checks
+    return [
+        _sweep("zero-insertion", insertions(),
+               lambda comp, n, slot, f: zero_insertion_holds(f, n, slot),
+               "killing any one variable restores the smaller expansion ({} cases)",
+               "({}, n={}, slot={})".format),
+        _sweep("restriction", restrictions(),
+               lambda comp, kept, poly, expected: face_map(poly, kept) == expected,
+               "keeping any increasing set of variables restores the smaller expansion ({} cases)",
+               "({}, keep={})".format),
+        _sweep("restriction-composition", composed_restrictions(),
+               lambda comp, outer, inner, poly, expected: face_map(poly, inner) == expected,
+               "composing variable selections agrees with selecting once ({} cases)",
+               "({}, {}, {})".format),
+    ]
 
 
 def mu_checks(max_degree: int = 6) -> list[Check]:
     """The gluing pullback against the deconcatenation coproduct."""
-    basis = _basis(max_degree)
-    checks: list[Check] = []
 
-    failures = []
-    for comp in basis:
-        if not gluing_matches_coproduct(QSymElement.monomial(comp)):
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "gluing-coproduct",
-        failures,
-        f"gluing pullbacks assemble into D on all {len(basis)} basis elements through weight {max_degree}",
-    ))
+    def splits():
+        for a, b in _pairs(max_degree - 1):
+            fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
+            total = a.weight + b.weight
+            for n1 in range(total + 1):
+                yield a, b, n1, total - n1, fa, fb
 
-    pairs = [(a, b) for a, b in _pairs(max_degree - 1)]
-    failures = []
-    count = 0
-    for a, b in pairs:
-        fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
-        total = a.weight + b.weight
-        for n1 in range(total + 1):
-            n2 = total - n1
-            count += 1
-            lhs = gluing_pullback(fa * fb, n1, n2)
-            rhs = truncate_tensor(
-                gluing_pullback(fa, n1, n2) * gluing_pullback(fb, n1, n2), (n1, n2)
-            )
-            if lhs != rhs:
-                failures.append(f"({a}, {b}, {n1}+{n2})")
-    checks.append(_verdict(
-        "gluing-multiplicative",
-        failures,
-        f"the pullback is a ring map into each truncated tensor square ({count} cases)",
-    ))
+    def pullback_multiplicative(a, b, n1, n2, fa, fb):
+        product = gluing_pullback(fa, n1, n2) * gluing_pullback(fb, n1, n2)
+        return gluing_pullback(fa * fb, n1, n2) == truncate_tensor(product, (n1, n2))
 
-    failures = []
-    for d in range(max_degree + 1):
-        stratum = deep_stratum_class(d)
-        expected = TensorElement(2, {
+    def stratum_splits(d):
+        return deep_stratum_class(d).coproduct() == TensorElement(2, {
             (Composition([1] * i), Composition([1] * (d - i))): 1 for i in range(d + 1)
         })
-        if stratum.coproduct() != expected:
-            failures.append(f"depth {d}")
-    checks.append(_verdict(
-        "deep-stratum",
-        failures,
-        f"the deepest stratum splits over all chain cuts, depths 0..{max_degree}",
-    ))
 
-    return checks
+    return [
+        _sweep("gluing-coproduct", zip(_basis(max_degree)),
+               lambda comp: gluing_matches_coproduct(QSymElement.monomial(comp)),
+               f"gluing pullbacks assemble into D on all {{}} basis elements through weight {max_degree}"),
+        _sweep("gluing-multiplicative", splits(), pullback_multiplicative,
+               "the pullback is a ring map into each truncated tensor square ({} cases)",
+               "({}, {}, {}+{})".format),
+        _sweep("deep-stratum", zip(range(max_degree + 1)), stratum_splits,
+               f"the deepest stratum splits over all chain cuts, depths 0..{max_degree}",
+               "depth {}".format),
+    ]
 
 
 def tau_checks(max_degree: int = 5) -> list[Check]:
     """The index-reversal and marked-point involutions."""
     basis = _basis(max_degree)
-    checks: list[Check] = []
 
-    failures = []
-    for comp in basis:
+    def reversal_involutive(comp):
         f = QSymElement.monomial(comp)
-        if f.reverse_indices().reverse_indices() != f:
-            failures.append(str(comp))
-    checks.append(_verdict(
-        "reversal-involution",
-        failures,
-        f"index reversal squares to the identity on all {len(basis)} basis elements",
-    ))
+        return f.reverse_indices().reverse_indices() == f
 
-    pairs = _pairs(max_degree)
-    failures = []
-    for a, b in pairs:
+    def reversal_multiplicative(a, b):
         fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
-        if (fa * fb).reverse_indices() != fa.reverse_indices() * fb.reverse_indices():
-            failures.append(f"({a}, {b})")
-    checks.append(_verdict(
-        "reversal-multiplicative",
-        failures,
-        f"index reversal is a ring map on {len(pairs)} basis pairs",
-    ))
+        return (fa * fb).reverse_indices() == fa.reverse_indices() * fb.reverse_indices()
 
-    witness = None
-    for comp in _basis(3):
+    def reversal_twists(comp):
         f = QSymElement.monomial(comp)
-        reversed_slotwise = map_slot(
-            map_slot(f.coproduct(), 0, QSymElement.reverse_indices),
-            1,
-            QSymElement.reverse_indices,
-        )
-        if reversed_slotwise != f.reverse_indices().coproduct():
-            witness = comp
-            break
-    checks.append(Check(
-        "reversal-twists-coproduct",
-        witness is not None,
-        f"index reversal is not a coalgebra map; witness {witness}"
-        if witness is not None
-        else "no witness found through weight 3",
-    ))
+        reverse = QSymElement.reverse_indices
+        return map_slot(map_slot(f.coproduct(), 0, reverse), 1, reverse) != reverse(f).coproduct()
 
-    generators: list[BetaElement] = []
-    for comp in basis:
-        for k in range(max_degree + 1 - comp.weight):
-            generators.append(
-                BetaElement({k: QSymElement.monomial(comp)})
-            )
+    witness = next(filter(reversal_twists, _basis(3)), None)
+    generators = [
+        BetaElement({k: QSymElement.monomial(comp)})
+        for comp in basis
+        for k in range(max_degree + 1 - comp.weight)
+    ]
 
-    failures = []
-    for g in generators:
+    def involutive(g):
         image = marked_point_involution(g)
-        if marked_point_involution(image) != g:
-            failures.append(str(g))
-        elif image.total_degree() != g.total_degree():
-            failures.append(str(g))
-    checks.append(_verdict(
-        "involution-squared",
-        failures,
-        f"the marked-point involution squares to the identity and preserves degree on {len(generators)} generators",
-    ))
+        return marked_point_involution(image) == g and image.total_degree() == g.total_degree()
 
-    failures = []
-    count = 0
-    for i, g in enumerate(generators):
-        for h in generators[i:]:
-            if g.total_degree() + h.total_degree() > max_degree:
-                continue
-            count += 1
-            if marked_point_involution(g * h) != marked_point_involution(g) * marked_point_involution(h):
-                failures.append(f"({g}, {h})")
-    checks.append(_verdict(
-        "involution-multiplicative",
-        failures,
-        f"the marked-point involution is a ring map on {count} generator pairs",
-    ))
-
+    generator_pairs = (
+        (g, h)
+        for i, g in enumerate(generators)
+        for h in generators[i:]
+        if g.total_degree() + h.total_degree() <= max_degree
+    )
     beta_image = marked_point_involution(BetaElement.beta())
     expected = BetaElement({1: QSymElement.from_int(-1), 0: QSymElement.monomial([1])})
-    checks.append(Check(
-        "involution-of-beta",
-        beta_image == expected,
-        "beta maps to -b + [1]" if beta_image == expected else "beta image is wrong",
-    ))
 
-    return checks
+    return [
+        _sweep("reversal-involution", zip(basis), reversal_involutive,
+               "index reversal squares to the identity on all {} basis elements"),
+        _sweep("reversal-multiplicative", _pairs(max_degree), reversal_multiplicative,
+               "index reversal is a ring map on {} basis pairs", _pair_label),
+        Check(
+            "reversal-twists-coproduct",
+            witness is not None,
+            f"index reversal is not a coalgebra map; witness {witness}"
+            if witness is not None
+            else "no witness found through weight 3",
+        ),
+        _sweep("involution-squared", zip(generators), involutive,
+               "the marked-point involution squares to the identity and preserves degree"
+               " on {} generators"),
+        _sweep("involution-multiplicative", generator_pairs,
+               lambda g, h: marked_point_involution(g * h)
+               == marked_point_involution(g) * marked_point_involution(h),
+               "the marked-point involution is a ring map on {} generator pairs", _pair_label),
+        Check(
+            "involution-of-beta",
+            beta_image == expected,
+            "beta maps to -b + [1]" if beta_image == expected else "beta image is wrong",
+        ),
+    ]
 
 
 def lyndon_free_checks(max_degree: int = 6) -> list[Check]:

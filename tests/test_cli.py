@@ -147,6 +147,54 @@ class TestFormats:
         assert first == second
 
 
+# `qsym verify --max-degree 2`, byte for byte: the text report, then the same
+# (name, passed, detail) rows as JSON.
+VERIFY_2_TEXT = """\
+hopf:
+  ok coassociativity: (D x id)D = (id x D)D on all 4 basis elements through weight 2
+  ok counit: both counit contractions of D restore all 4 basis elements
+  ok bialgebra: D and the counit are ring maps on 8 basis pairs with total weight <= 2
+  ok antipode: m(S x id)D = m(id x S)D = unit.counit on all 4 basis elements
+  ok antipode-squared: S.S = id on all 4 basis elements (commutative case)
+oracle:
+  ok product-expansion: expanding the product matches multiplying expansions on 1 pairs with total weight <= 2
+  ok expansion-round-trip: expansions are quasisymmetric and read back exactly for all 4 basis elements
+limit:
+  ok zero-insertion: killing any one variable restores the smaller expansion (24 cases)
+  ok restriction: keeping any increasing set of variables restores the smaller expansion (28 cases)
+  ok restriction-composition: composing variable selections agrees with selecting once (36 cases)
+mu:
+  ok gluing-coproduct: gluing pullbacks assemble into D on all 4 basis elements through weight 2
+  ok gluing-multiplicative: the pullback is a ring map into each truncated tensor square (5 cases)
+  ok deep-stratum: the deepest stratum splits over all chain cuts, depths 0..2
+tau:
+  ok reversal-involution: index reversal squares to the identity on all 4 basis elements
+  ok reversal-multiplicative: index reversal is a ring map on 8 basis pairs
+  ok reversal-twists-coproduct: index reversal is not a coalgebra map; witness [1,2]
+  ok involution-squared: the marked-point involution squares to the identity and preserves degree on 7 generators
+  ok involution-multiplicative: the marked-point involution is a ring map on 10 generator pairs
+  ok involution-of-beta: beta maps to -b + [1]
+lyndon-free:
+  ok free-generation-weight-1: dimension 1, Lyndon monomials 1, rank 1
+  ok free-generation-weight-2: dimension 2, Lyndon monomials 2, rank 2
+  ok generator-count: generator counts by weight: [1, 1]
+22/22 checks passed
+"""
+
+
+def _verify_2_json() -> str:
+    """The JSON report carrying the rows of VERIFY_2_TEXT, as the CLI prints it."""
+    report = []
+    for line in VERIFY_2_TEXT.splitlines()[:-1]:
+        if not line.startswith("  "):
+            report.append({"suite": line[:-1], "checks": []})
+            continue
+        verdict, _, rest = line.strip().partition(" ")
+        name, _, detail = rest.partition(": ")
+        report[-1]["checks"].append({"name": name, "passed": verdict == "ok", "detail": detail})
+    return json.dumps(report) + "\n"
+
+
 class TestVerifyCommand:
     def test_single_suite_passes(self, capsys):
         code, out, _ = invoke(capsys, "verify", "lyndon-free", "--max-degree", "4")
@@ -184,6 +232,15 @@ class TestVerifyCommand:
         code, out, err = invoke(capsys, "verify", "hopf", "--max-degree", "-1", "--format", fmt)
         assert (code, out) == (2, "")
         assert err == "error: max degree must be nonnegative, got -1\n"
+
+    def test_text_golden(self, capsys):
+        assert invoke(capsys, "verify", "--max-degree", "2") == (0, VERIFY_2_TEXT, "")
+
+    def test_json_golden(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--max-degree", "2", "--format", "json")
+        assert (code, out, err) == (0, _verify_2_json(), "")
+        assert out.startswith('[{"suite": "hopf", "checks": [{"name": "coassociativity", '
+                              '"passed": true, "detail": "(D x id)D = (id x D)D on all 4 ')
 
 
 class TestErrorHandling:

@@ -2,6 +2,9 @@
 
 import pytest
 
+from qsym import verification
+from qsym.algebra import QSymElement
+from qsym.expansion import SparsePolynomial
 from qsym.verification import DEFAULT_DEGREES, SUITES, Check, run_all, run_suite
 
 
@@ -46,3 +49,143 @@ def test_checks_carry_detail_text():
     for check in run_suite("lyndon-free", 3):
         assert check.name
         assert check.detail
+
+
+# -- golden output --------------------------------------------------------------
+
+# The (name, passed, detail) triples of every suite at its default bound.  Each
+# number in a swept check's detail is the count of cases it swept.
+DEFAULT_TRIPLES = {
+    "hopf": [
+        ("coassociativity", True,
+         "(D x id)D = (id x D)D on all 64 basis elements through weight 6"),
+        ("counit", True, "both counit contractions of D restore all 64 basis elements"),
+        ("bialgebra", True,
+         "D and the counit are ring maps on 256 basis pairs with total weight <= 6"),
+        ("antipode", True, "m(S x id)D = m(id x S)D = unit.counit on all 64 basis elements"),
+        ("antipode-squared", True, "S.S = id on all 64 basis elements (commutative case)"),
+    ],
+    "oracle": [
+        ("product-expansion", True,
+         "expanding the product matches multiplying expansions on 321 pairs with total weight <= 7"),
+        ("expansion-round-trip", True,
+         "expansions are quasisymmetric and read back exactly for all 128 basis elements"),
+    ],
+    "limit": [
+        ("zero-insertion", True,
+         "killing any one variable restores the smaller expansion (672 cases)"),
+        ("restriction", True,
+         "keeping any increasing set of variables restores the smaller expansion (2016 cases)"),
+        ("restriction-composition", True,
+         "composing variable selections agrees with selecting once (7776 cases)"),
+    ],
+    "mu": [
+        ("gluing-coproduct", True,
+         "gluing pullbacks assemble into D on all 64 basis elements through weight 6"),
+        ("gluing-multiplicative", True,
+         "the pullback is a ring map into each truncated tensor square (592 cases)"),
+        ("deep-stratum", True, "the deepest stratum splits over all chain cuts, depths 0..6"),
+    ],
+    "tau": [
+        ("reversal-involution", True,
+         "index reversal squares to the identity on all 32 basis elements"),
+        ("reversal-multiplicative", True, "index reversal is a ring map on 112 basis pairs"),
+        ("reversal-twists-coproduct", True,
+         "index reversal is not a coalgebra map; witness [1,2]"),
+        ("involution-squared", True,
+         "the marked-point involution squares to the identity and preserves degree on 63 generators"),
+        ("involution-multiplicative", True,
+         "the marked-point involution is a ring map on 164 generator pairs"),
+        ("involution-of-beta", True, "beta maps to -b + [1]"),
+    ],
+    "lyndon-free": [
+        *(
+            (f"free-generation-weight-{w}", True,
+             f"dimension {2 ** (w - 1)}, Lyndon monomials {2 ** (w - 1)}, rank {2 ** (w - 1)}")
+            for w in range(1, 7)
+        ),
+        ("generator-count", True, "generator counts by weight: [1, 1, 2, 3, 6, 9]"),
+    ],
+}
+
+
+def test_run_all_golden_at_default_bounds():
+    report = run_all()
+    assert list(report) == list(DEFAULT_TRIPLES)
+    assert {
+        name: [(c.name, c.passed, c.detail) for c in checks] for name, checks in report.items()
+    } == DEFAULT_TRIPLES
+
+
+# -- forced failures, one per label shape ------------------------------------------
+
+def _detail(checks, name):
+    """The detail of check ``name``; every other check must still pass."""
+    assert [c.name for c in checks if not c.passed and c.name != name] == []
+    (check,) = [c for c in checks if c.name == name]
+    assert not check.passed
+    return check.detail
+
+
+def _patch(monkeypatch, kernel, wrap):
+    monkeypatch.setattr(verification, kernel, wrap(getattr(verification, kernel)))
+
+
+def test_forced_failure_names_a_composition(monkeypatch):
+    target = QSymElement.monomial([1, 2])
+    _patch(monkeypatch, "gluing_matches_coproduct", lambda k: lambda f: f != target and k(f))
+    assert _detail(verification.mu_checks(3), "gluing-coproduct") == "failed at [1,2]"
+
+
+def test_bialgebra_counts_each_pair_once(monkeypatch):
+    # Both the coproduct and the counit fail to be multiplicative on all
+    # 8 pairs; a pair is one case however many of its equalities fail.
+    coproduct, counit = QSymElement.coproduct, QSymElement.counit
+    monkeypatch.setattr(QSymElement, "coproduct", lambda self: 2 * coproduct(self))
+    monkeypatch.setattr(QSymElement, "counit", lambda self: counit(self) + 2)
+    checks = {c.name: c for c in verification.hopf_checks(2)}
+    assert checks["bialgebra"].detail == "failed at ([], []) and 7 more"
+
+
+def test_forced_failure_names_zero_insertion_case(monkeypatch):
+    _patch(monkeypatch, "zero_insertion_holds",
+           lambda k: lambda f, n, slot: (n, slot) != (2, 1) and k(f, n, slot))
+    assert (_detail(verification.limit_checks(2), "zero-insertion")
+            == "failed at ([], n=2, slot=1) and 3 more")
+
+
+def test_forced_failure_names_kept_variables(monkeypatch):
+    def wrong_at_second_variable(face_map):
+        def patched(poly, kept):
+            image = face_map(poly, kept)
+            return image + SparsePolynomial.constant(1, 1) if kept == (2,) else image
+        return patched
+
+    _patch(monkeypatch, "face_map", wrong_at_second_variable)
+    checks = verification.limit_checks(2)
+    assert [c.name for c in checks if c.passed] == ["zero-insertion"]
+    assert checks[1].detail == "failed at ([], keep=(2,)) and 3 more"
+    assert checks[2].detail == "failed at ([], (2,), ()) and 3 more"
+
+
+def test_forced_failure_names_gluing_split(monkeypatch):
+    _patch(monkeypatch, "truncate_tensor",
+           lambda k: lambda t, sizes: None if sizes == (1, 1) else k(t, sizes))
+    assert (_detail(verification.mu_checks(3), "gluing-multiplicative")
+            == "failed at ([], [1,1], 1+1) and 4 more")
+
+
+def test_forced_failure_names_stratum_depth(monkeypatch):
+    _patch(monkeypatch, "deep_stratum_class", lambda k: lambda d: k(1) if d == 2 else k(d))
+    assert _detail(verification.mu_checks(3), "deep-stratum") == "failed at depth 2"
+
+
+def test_forced_failure_names_beta_generators(monkeypatch):
+    _patch(monkeypatch, "marked_point_involution",
+           lambda k: lambda g: k(g) if g.total_degree() < 2 else 2 * k(g))
+    checks = verification.tau_checks(3)
+    assert [c.name for c in checks if not c.passed] == [
+        "involution-squared", "involution-multiplicative",
+    ]
+    assert checks[3].detail == "failed at BetaElement('b^2') and 11 more"
+    assert checks[4].detail == "failed at (BetaElement('b'), BetaElement('b')) and 2 more"
