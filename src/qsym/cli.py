@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Every subcommand reads elements in the surface syntax of :mod:`qsym.syntax`
-and writes to stdout in one of three formats (``--format text|json|latex``).
-Output is deterministic: terms always appear in canonical order.  Malformed
-input exits with status 2; a failed verification suite exits with status 1.
+and writes to stdout in one of three formats (``--format text|json|latex``;
+``verify`` reports in text or JSON only).  Output is deterministic: terms
+always appear in canonical order.  Malformed input exits with status 2; a
+failed verification suite exits with status 1.
 
 :func:`run` may be called many times in one process.  The argument parser is
 built once, on the first call, and reused; the kernel caches behind it
-(``algebra._quasi_shuffle`` and ``expansion._basis_expansion``) hold at most
-4,096 entries each, so a long-lived caller's memory stays bounded.
+(``algebra._quasi_shuffle``, ``expansion._basis_expansion`` and
+``expansion._face_selectors``) hold at most 4,096 entries each, so a
+long-lived caller's memory stays bounded.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ from .syntax import (
 from .verification import SUITES, run_suite
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
+def _add_format(
+    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "latex")
+) -> None:
     parser.add_argument(
         "--format",
-        choices=("text", "json", "latex"),
+        choices=formats,
         default="text",
         help="output format (default: text)",
     )
@@ -126,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the weight bound of the swept suites",
     )
-    _add_format(p)
+    _add_format(p, ("text", "json"))
 
     return parser
 

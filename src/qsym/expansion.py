@@ -184,23 +184,32 @@ def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolyno
     is dropped.
     """
     positions = tuple(positions)
+    # Checked here, not in the cache: True hashes like 1, so (True,) would
+    # hit a cached (1,).
     if any(not isinstance(p, int) or isinstance(p, bool) for p in positions):
         raise ValueError(f"positions must be integers, got {positions!r}")
-    if any(p < 1 or p > poly.num_vars for p in positions):
-        raise ValueError(
-            f"positions {positions!r} out of range for {poly.num_vars} variables"
-        )
+    keep, kill = _face_selectors(poly.num_vars, positions)
+    # A surviving term is zero at every killed variable, so ``keep`` is
+    # one-to-one on survivors and no two of them need adding up.
+    kept = {keep(exps): coeff for exps, coeff in poly._terms.items() if not any(kill(exps))}
+    return SparsePolynomial._new(kept, len(positions))
+
+
+@lru_cache(maxsize=4096)
+def _face_selectors(num_vars: int, positions: tuple[int, ...]):
+    """The validated (keep, kill) selectors of one face map.
+
+    Raises ``ValueError`` for positions out of range or not strictly
+    increasing; ``lru_cache`` caches no exception, so a bad input raises on
+    every call.
+    """
+    if any(p < 1 or p > num_vars for p in positions):
+        raise ValueError(f"positions {positions!r} out of range for {num_vars} variables")
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be strictly increasing, got {positions!r}")
     keep = _selector([p - 1 for p in positions])
-    kill = _selector([i for i in range(poly.num_vars) if i + 1 not in positions])
-    acc: dict[tuple[int, ...], int] = {}
-    for exps, coeff in poly._terms.items():
-        if any(kill(exps)):
-            continue
-        key = keep(exps)
-        acc[key] = acc.get(key, 0) + coeff
-    return SparsePolynomial._new(acc, len(positions))
+    kill = _selector([i for i in range(num_vars) if i + 1 not in positions])
+    return keep, kill
 
 
 def _selector(indices: list[int]):

@@ -233,6 +233,11 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: max degree must be nonnegative, got -1\n"
 
+    def test_latex_format_rejected(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--max-degree", "2", "--format", "latex")
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'latex' (choose from 'text', 'json')" in err
+
     def test_text_golden(self, capsys):
         assert invoke(capsys, "verify", "--max-degree", "2") == (0, VERIFY_2_TEXT, "")
 
@@ -499,7 +504,9 @@ class TestLongLivedProcess:
         assert invoke(capsys, *argv) == (0, expected, "")
         assert invoke(capsys, "--help") == first_help
 
-    @pytest.mark.parametrize("kernel", [algebra._quasi_shuffle, expansion._basis_expansion])
+    @pytest.mark.parametrize(
+        "kernel", [algebra._quasi_shuffle, expansion._basis_expansion, expansion._face_selectors]
+    )
     def test_kernel_caches_are_bounded(self, kernel):
         assert kernel.cache_info().maxsize is not None
 

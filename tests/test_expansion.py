@@ -141,6 +141,17 @@ class TestExpand:
                     n = a.weight + b.weight
                     assert expand(M(a) * M(b), n) == expand(M(a), n) * expand(M(b), n)
 
+    def test_injective_on_compositions_no_longer_than_the_variable_count(self):
+        # The lemma behind the oracle's len(a) + len(b) variables: the
+        # monomial a1^c1...al^cl appears in the expansion of M_c and no other.
+        for n in range(6):
+            comps = [c for c in all_compositions(7) if len(c) <= n]
+            for beta in comps:
+                poly = expand(M(beta), n)
+                for alpha in comps:
+                    padded = tuple(alpha) + (0,) * (n - len(alpha))
+                    assert poly.coefficient(padded) == (1 if alpha == beta else 0)
+
 
 class TestQuasisymmetry:
     def test_expansions_are_quasisymmetric(self):
@@ -200,6 +211,24 @@ class TestFaceMaps:
             face_map(poly, (4,))
         with pytest.raises(ValueError):
             face_map(poly, (True,))
+
+    def test_bool_rejected_after_the_equal_int_is_cached(self):
+        poly = expand(M([1]), 3)
+        assert face_map(poly, (1,)) == SparsePolynomial(1, {(1,): 1})
+        with pytest.raises(ValueError, match="positions must be integers"):
+            face_map(poly, (True,))
+
+    @pytest.mark.parametrize("positions, message", [
+        ((4,), r"positions \(4,\) out of range for 3 variables"),
+        ((0, 2), r"positions \(0, 2\) out of range for 3 variables"),
+        ((2, 1), r"positions must be strictly increasing, got \(2, 1\)"),
+        ((2, 2), r"positions must be strictly increasing, got \(2, 2\)"),
+    ])
+    def test_bad_positions_raise_on_every_call(self, positions, message):
+        poly = expand(M([1]), 3)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                face_map(poly, positions)
 
     def test_identity_selection(self):
         poly = expand(M([2, 1]), 3)

@@ -187,5 +187,29 @@ def test_forced_failure_names_beta_generators(monkeypatch):
     assert [c.name for c in checks if not c.passed] == [
         "involution-squared", "involution-multiplicative",
     ]
-    assert checks[3].detail == "failed at BetaElement('b^2') and 11 more"
-    assert checks[4].detail == "failed at (BetaElement('b'), BetaElement('b')) and 2 more"
+    assert checks[3].detail == "failed at b^2 and 11 more"
+    assert checks[4].detail == "failed at (b, b) and 2 more"
+
+
+def _with_extra_term(extra, a, b):
+    """Wrap ``QSymElement.__mul__`` so that ``M_a * M_b`` gains the term ``extra``."""
+    mul = QSymElement.__mul__
+    fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
+
+    def patched(self, other):
+        product = mul(self, other)
+        return product + QSymElement.monomial(extra) if (self, other) == (fa, fb) else product
+
+    return patched
+
+
+@pytest.mark.parametrize("extra", [
+    # longer than len([2]) + len([1]) = 2 variables, so it expands to zero
+    # there; only the length guard can see it
+    [1, 1, 1],
+    # weight 2, not 3, but short enough to expand to a nonzero monomial
+    [1, 1],
+], ids=["too-long", "wrong-weight"])
+def test_product_expansion_rejects_a_wrong_term(monkeypatch, extra):
+    monkeypatch.setattr(QSymElement, "__mul__", _with_extra_term(extra, [2], [1]))
+    assert _detail(verification.oracle_checks(3), "product-expansion") == "failed at ([2], [1])"
