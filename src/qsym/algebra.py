@@ -9,7 +9,8 @@ coefficients are Python ints, so they never overflow.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import OrderedDict, namedtuple
+from functools import update_wrapper
 from itertools import product
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping
@@ -21,13 +22,93 @@ CompositionLike = Composition | Iterable[int]
 _EMPTY = Composition()
 
 
-@lru_cache(maxsize=4096)
+_MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize evictions terms")
+
+
+class _Memo:
+    """A kernel memo bounded by the terms it stores, not by its entry count.
+
+    Wraps a function of hashable arguments that returns a tuple of terms.  A
+    result longer than ``entry_cap`` terms is never kept across calls; past
+    ``budget`` stored terms, the oldest entries go first.  Eviction is first
+    in, first out, so a hit costs one dict lookup and no reordering.  An
+    empty result is charged as one term, so the budget bounds entries too.
+
+    While an outermost call runs, results too long to keep go into a scratch
+    dict that the recursive calls inside it read as well, so a recursion
+    computes each of its sub-results once; the dict goes when that outermost
+    call returns.
+
+    ``cache_info()`` reports like ``functools.lru_cache`` does, with
+    ``maxsize`` the term budget and ``currsize`` the stored entries, plus
+    the evictions and the stored terms.  A miss is one computed result; a
+    hit is a result found in the memo or in the scratch dict.
+    """
+
+    budget = 1 << 18
+    entry_cap = 512
+
+    def __init__(self, fn: Callable[..., tuple]):
+        update_wrapper(self, fn)
+        self._fn = fn
+        self._scratch: dict | None = None
+        self.cache_clear()
+
+    def cache_clear(self) -> None:
+        # An OrderedDict pops its oldest entry in O(1); a dict rescans the
+        # slots its earlier deletions left at the front.
+        self._entries: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.evictions = self.terms = 0
+
+    def cache_info(self) -> _MemoInfo:
+        return _MemoInfo(
+            self.hits, self.misses, self.budget, len(self._entries), self.evictions, self.terms
+        )
+
+    def __call__(self, *key):
+        try:
+            value = self._entries[key]
+        except KeyError:
+            return self._miss(key)
+        self.hits += 1
+        return value
+
+    def _miss(self, key: tuple):
+        scratch = self._scratch
+        if scratch is None:  # an outermost call
+            self._scratch = {}
+            try:
+                return self._miss(key)
+            finally:
+                self._scratch = None
+        value = scratch.get(key)
+        if value is not None:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = self._fn(*key)
+        size = len(value) or 1
+        if size > self.entry_cap:
+            scratch[key] = value
+            return value
+        entries = self._entries
+        entries[key] = value
+        self.terms += size
+        while self.terms > self.budget:
+            _, old = entries.popitem(last=False)
+            self.terms -= len(old) or 1
+            self.evictions += 1
+        return value
+
+
+@_Memo
 def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[Composition, int], ...]:
     """Quasi-shuffle of two part tuples as ((composition, coefficient), ...).
 
     Three-branch recursion on the leading parts: take the head of the left
     factor, take the head of the right factor, or merge both heads into one
-    part.  Output-sensitive and cached; callers must not mutate the result.
+    part.  Output-sensitive and memoised by :class:`_Memo`; callers must not
+    mutate the result.
     """
     if not left:
         return ((_composition(right), 1),)

@@ -172,7 +172,16 @@ def marked_point_involution(element: BetaElement) -> BetaElement:
     image_of_beta = BetaElement(
         {1: QSymElement.from_int(-1), 0: QSymElement.monomial([1])}
     )
-    result = BetaElement.zero()
-    for power, value in element.terms():
-        result = result + BetaElement.from_qsym(value.reverse_indices()) * image_of_beta**power
-    return result
+    acc: dict[int, QSymElement] = {}
+    image = BetaElement.one()  # image_of_beta ** power, one factor per step
+    for power in range(element.beta_degree() + 1):
+        if power:
+            image = image * image_of_beta
+        value = element._terms.get(power)
+        if value is None:
+            continue
+        value = value.reverse_indices()
+        for p, c in image._terms.items():
+            term = value * c
+            acc[p] = acc[p] + term if p in acc else term
+    return BetaElement._new(acc)

@@ -7,10 +7,11 @@ always appear in canonical order.  Malformed input exits with status 2; a
 failed verification suite exits with status 1.
 
 :func:`run` may be called many times in one process.  The argument parser is
-built once, on the first call, and reused; the kernel caches behind it
-(``algebra._quasi_shuffle``, ``expansion._basis_expansion`` and
-``expansion._face_selectors``) hold at most 4,096 entries each, so a
-long-lived caller's memory stays bounded.
+built once, on the first call, and reused.  The kernel caches behind it are
+bounded, so a long-lived caller's memory stays bounded: the memos of
+``algebra._quasi_shuffle`` and ``expansion._basis_expansion`` keep at most
+2**18 terms each and no result over 512 terms, and
+``expansion._face_selectors`` keeps at most 4,096 entries.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 from operator import add, itemgetter
 from typing import Iterator, Mapping
 
-from .algebra import QSymElement, _Sparse
+from .algebra import QSymElement, _Memo, _Sparse
 from .compositions import Composition, enumerate_compositions, enumerate_lyndon
 
 
@@ -100,7 +100,7 @@ class SparsePolynomial(_Sparse):
         return self._new(acc, self._shape)
 
 
-@lru_cache(maxsize=4096)
+@_Memo
 def _basis_expansion(parts: tuple[int, ...], num_vars: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of a basis element in ``num_vars`` variables.
 

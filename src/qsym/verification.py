@@ -60,8 +60,13 @@ def _basis(max_degree: int) -> list[Composition]:
 
 
 def _pairs(max_total: int) -> Iterator[tuple[Composition, Composition]]:
+    """Basis pairs of total weight at most ``max_total``, ordered by ``a`` then ``b``.
+
+    ``_basis`` runs by weight and has 2**w compositions of weight at most w,
+    so the partners of ``a`` are its first 2**(max_total - a.weight).
+    """
     basis = _basis(max_total)
-    return ((a, b) for a in basis for b in basis if a.weight + b.weight <= max_total)
+    return ((a, b) for a in basis for b in basis[: 2 ** (max_total - a.weight)])
 
 
 _pair_label = "({}, {})".format

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qsym.algebra import (
     QSymElement,
     TensorElement,
+    _quasi_shuffle,
     contract_product,
     coproduct_first,
     coproduct_second,
@@ -171,6 +172,61 @@ class TestProduct:
         assert f**3 == f * f * f
         with pytest.raises(ValueError):
             f**-1
+
+
+def _stored_sizes(memo):
+    """The term count each retained entry is charged, an empty result as one."""
+    return [len(value) or 1 for value in memo._entries.values()]
+
+
+class TestKernelMemo:
+    """The quasi-shuffle memo: bounded by stored terms, exact under eviction."""
+
+    # Distinct parts, so the product has 7,575 terms, over the entry cap.
+    LONG = ((1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1))
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _quasi_shuffle.cache_clear()
+        yield
+        _quasi_shuffle.cache_clear()
+
+    def test_stream_stays_within_the_term_budget(self, monkeypatch):
+        monkeypatch.setattr(_quasi_shuffle, "budget", 400)
+        monkeypatch.setattr(_quasi_shuffle, "entry_cap", 60)
+        oversized = ((1, 2, 3, 4), (4, 3, 2, 1, 5))
+        assert len(surjection_product(*oversized)) > 60
+        pairs = [(a, b) for a in enumerate_compositions(4) for b in enumerate_compositions(5)]
+        stream = pairs[:64] + [oversized] + pairs[64:] + [oversized]
+        for left, right in stream:
+            assert dict(_quasi_shuffle(left, right)) == surjection_product(left, right)
+            sizes = _stored_sizes(_quasi_shuffle)
+            assert sum(sizes) == _quasi_shuffle.terms <= 400
+            assert max(sizes) <= 60
+        assert _quasi_shuffle.evictions > 0
+
+    def test_oversized_product_is_exact_and_not_retained(self):
+        terms = _quasi_shuffle(*self.LONG)
+        assert len(terms) > _quasi_shuffle.entry_cap
+        assert dict(terms) == surjection_product(*self.LONG)
+        assert self.LONG not in _quasi_shuffle._entries
+        assert max(_stored_sizes(_quasi_shuffle)) <= _quasi_shuffle.entry_cap
+
+    def test_oversized_sub_results_are_computed_once(self):
+        # Every sub-result is a product of two suffixes; those too long to
+        # keep live in the call's scratch dict instead of being recomputed.
+        left, right = self.LONG
+        _quasi_shuffle(left, right)
+        assert _quasi_shuffle.misses <= (len(left) + 1) * (len(right) + 1)
+
+    def test_cache_info_reports_the_counters(self):
+        M([1, 2]) * M([2, 1])
+        info = _quasi_shuffle.cache_info()
+        assert (info.hits, info.misses) == (_quasi_shuffle.hits, _quasi_shuffle.misses)
+        assert info.misses > 0
+        assert info.currsize == len(_quasi_shuffle._entries)
+        assert info.terms == sum(_stored_sizes(_quasi_shuffle))
+        assert info.maxsize == _quasi_shuffle.budget
 
 
 @st.composite

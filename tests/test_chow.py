@@ -161,6 +161,26 @@ class TestMarkedPointInvolution:
         for g in generators:
             assert marked_point_involution(marked_point_involution(g)) == g
 
+    @staticmethod
+    def _per_term(element):
+        """The involution term by term: a fresh power of -b + [1] per term, summed with +."""
+        image_of_beta = BetaElement({1: QSymElement.from_int(-1), 0: M([1])})
+        result = BetaElement.zero()
+        for power, value in element.terms():
+            result = result + BetaElement.from_qsym(value.reverse_indices()) * image_of_beta**power
+        return result
+
+    def test_matches_the_per_term_formula(self):
+        # every generator of the tau suite at bound 6, and their sum, which
+        # has every beta power 0..6 at once
+        generators = [
+            BetaElement({k: M(comp)})
+            for comp in all_compositions(6)
+            for k in range(7 - comp.weight)
+        ]
+        for x in generators + [sum(generators, BetaElement.zero())]:
+            assert marked_point_involution(x) == self._per_term(x)
+
     def test_preserves_total_degree(self):
         x = BetaElement({2: M([1, 2]), 1: QSymElement.one()})
         assert marked_point_involution(x).total_degree() == x.total_degree()

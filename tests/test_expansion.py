@@ -2,7 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from qsym.algebra import QSymElement, monomial
 from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import (
     SparsePolynomial,
+    _basis_expansion,
     expand,
     face_map,
     from_polynomial,
@@ -151,6 +152,46 @@ class TestExpand:
                 for alpha in comps:
                     padded = tuple(alpha) + (0,) * (n - len(alpha))
                     assert poly.coefficient(padded) == (1 if alpha == beta else 0)
+
+
+def _is_full_expansion(poly, parts, num_vars):
+    """Whether ``poly`` is M_parts in ``num_vars`` variables: every placement once.
+
+    The C(n, len) exponent tuples that read ``parts`` when zeros are dropped
+    are exactly the strictly increasing placements of the parts.
+    """
+    return len(poly) == comb(num_vars, len(parts)) and all(
+        len(exps) == num_vars and tuple(e for e in exps if e) == parts and coeff == 1
+        for exps, coeff in poly.terms()
+    )
+
+
+class TestBasisExpansionMemo:
+    """The basis-expansion memo: bounded by stored terms, exact under eviction."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _basis_expansion.cache_clear()
+        yield
+        _basis_expansion.cache_clear()
+
+    def test_stream_stays_within_the_term_budget(self, monkeypatch):
+        monkeypatch.setattr(_basis_expansion, "budget", 200)
+        monkeypatch.setattr(_basis_expansion, "entry_cap", 40)
+        stream = [(c, n) for n in range(9) for c in all_compositions(4)]
+        for comp, n in stream + [((1, 1, 1, 1), 12)] + stream:
+            assert _is_full_expansion(expand(M(comp), n), tuple(comp), n)
+            sizes = [len(value) or 1 for value in _basis_expansion._entries.values()]
+            assert sum(sizes) == _basis_expansion.terms <= 200
+            assert max(sizes) <= 40
+        assert _basis_expansion.evictions > 0
+
+    def test_oversized_expansion_is_exact_and_not_retained(self):
+        poly = expand(M([1, 1, 1, 1]), 30)
+        assert len(poly) == 27_405 > _basis_expansion.entry_cap
+        assert _is_full_expansion(poly, (1, 1, 1, 1), 30)
+        assert ((1, 1, 1, 1), 30) not in _basis_expansion._entries
+        assert _basis_expansion.cache_info().terms == 0
 
 
 class TestQuasisymmetry:

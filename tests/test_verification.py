@@ -45,6 +45,13 @@ def test_run_all_groups_by_suite():
         assert all(c.passed for c in checks)
 
 
+@pytest.mark.parametrize("max_total", range(8))
+def test_pairs_are_the_filtered_product_in_order(max_total):
+    basis = verification._basis(max_total)
+    expected = [(a, b) for a in basis for b in basis if a.weight + b.weight <= max_total]
+    assert list(verification._pairs(max_total)) == expected
+
+
 def test_checks_carry_detail_text():
     for check in run_suite("lyndon-free", 3):
         assert check.name
