@@ -13,6 +13,7 @@ from collections import OrderedDict, namedtuple
 from functools import update_wrapper
 from itertools import product
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .compositions import Composition, _composition
@@ -128,6 +129,15 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
     return tuple(sorted((_composition(key), c) for key, c in acc.items()))
 
 
+# The composition and the multiplicity of a quasi-shuffle term.
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class _Sparse:
     """A sparse integer combination of basis keys: the shared module structure.
 
@@ -136,6 +146,11 @@ class _Sparse:
     base owns +, -, integer scaling, ==, hash, bool, len and the canonical
     order of :meth:`terms`.  Each subclass supplies its constructor
     validation, its lift of scalars, its term order and its own product.
+
+    Internal results are built by :meth:`_new`, which drops zero
+    coefficients, or by :meth:`_wrap`, which stores the dict it is given.
+    ``_wrap`` is allowed only where no coefficient can cancel: no key
+    receives two contributions and no input coefficient is zero.
     """
 
     __slots__ = ("_shape", "_terms")
@@ -150,7 +165,7 @@ class _Sparse:
 
     @staticmethod
     def _coefficient(value):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not _is_int(value):
             raise ValueError(f"coefficients must be integers, got {value!r}")
         return value
 
@@ -167,9 +182,14 @@ class _Sparse:
     @classmethod
     def _new(cls, terms: Mapping, shape=None):
         """An element from keys already valid for ``cls``; zero coefficients are dropped."""
+        return cls._wrap({k: v for k, v in terms.items() if v}, shape)
+
+    @classmethod
+    def _wrap(cls, terms: dict, shape=None):
+        """An element that owns ``terms`` as given: valid keys, no zero coefficient."""
         out = object.__new__(cls)
         out._shape = shape
-        out._terms = {k: v for k, v in terms.items() if v}
+        out._terms = terms
         return out
 
     @classmethod
@@ -219,7 +239,7 @@ class _Sparse:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({k: -v for k, v in self._terms.items()}, self._shape)
+        return self._wrap({k: -v for k, v in self._terms.items()}, self._shape)
 
     def __sub__(self, other):
         other = self._lift(other)
@@ -240,7 +260,7 @@ class _Sparse:
         one = self._lift(1)  # None for types that lift no scalars
         if one is None:
             return NotImplemented
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         result = one
         for _ in range(k):
@@ -302,9 +322,7 @@ class QSymElement(_Sparse):
 
     def degree(self) -> int:
         """Largest weight appearing; 0 for the zero element."""
-        if not self._terms:
-            return 0
-        return max(c.weight for c in self._terms)
+        return max(map(sum, self._terms), default=0)
 
     def __repr__(self) -> str:
         from .syntax import format_qsym
@@ -330,11 +348,10 @@ class QSymElement(_Sparse):
 
     def coproduct(self) -> "TensorElement":
         """Deconcatenation: each basis term splits over all prefix/suffix cuts."""
-        acc: dict[tuple[Composition, ...], int] = {}
-        for comp, coeff in self._terms.items():
-            for cut in comp.splits():
-                acc[cut] = acc.get(cut, 0) + coeff
-        return TensorElement._new(acc, 2)
+        # A cut determines its composition, so no key is reached twice.
+        return TensorElement._wrap(
+            {cut: coeff for comp, coeff in self._terms.items() for cut in comp.splits()}, 2
+        )
 
     def counit(self) -> int:
         """The coefficient of the empty composition."""
@@ -351,7 +368,7 @@ class QSymElement(_Sparse):
 
     def reverse_indices(self) -> "QSymElement":
         """The algebra involution sending each basis index to its reversal."""
-        return self._new({c.reverse(): v for c, v in self._terms.items()})
+        return self._wrap({c.reverse(): v for c, v in self._terms.items()})
 
     # -- grading and truncation --------------------------------------------
 
@@ -363,11 +380,11 @@ class QSymElement(_Sparse):
         """
         if n < 0:
             raise ValueError(f"variable count must be nonnegative, got {n}")
-        return self._new({c: v for c, v in self._terms.items() if len(c) <= n})
+        return self._wrap({c: v for c, v in self._terms.items() if len(c) <= n})
 
     def homogeneous_part(self, d: int) -> "QSymElement":
         """The sum of terms of weight exactly ``d``."""
-        return self._new({c: v for c, v in self._terms.items() if c.weight == d})
+        return self._wrap({c: v for c, v in self._terms.items() if c.weight == d})
 
 
 def monomial(composition: CompositionLike) -> QSymElement:
@@ -429,10 +446,10 @@ class TensorElement(_Sparse):
         for key1, v1 in self._terms.items():
             for key2, v2 in other._terms.items():
                 v = v1 * v2
-                slots = [_quasi_shuffle(a, b) for a, b in zip(key1, key2)]
-                for choice in product(*slots):
-                    key = tuple(comp for comp, _ in choice)
-                    acc[key] = acc.get(key, 0) + v * prod(mult for _, mult in choice)
+                # one (composition, multiplicity) per slot in each choice
+                for choice in product(*map(_quasi_shuffle, key1, key2)):
+                    key = tuple(map(_first, choice))
+                    acc[key] = acc.get(key, 0) + v * prod(map(_second, choice))
         return self._new(acc, self._shape)
 
 
@@ -440,7 +457,7 @@ def _tensor(*factors: QSymElement) -> TensorElement:
     acc: dict[tuple[Composition, ...], int] = {(): 1}
     for factor in factors:
         acc = {key + (c,): v * w for key, v in acc.items() for c, w in factor._terms.items()}
-    return TensorElement._new(acc, len(factors))
+    return TensorElement._wrap(acc, len(factors))
 
 
 def tensor(left: QSymElement, right: QSymElement) -> TensorElement:
@@ -479,42 +496,40 @@ def _two_fold_terms(element: TensorElement):
     return element._terms.items()
 
 
+# In the four slot operations below, each key of the result arises from one
+# term only, so the results are built without accumulating.
+
+
 def coproduct_first(element: TensorElement) -> TensorElement:
     """Apply the coproduct to the first slot of a 2-fold tensor, giving a 3-fold one."""
-    acc: dict[tuple[Composition, ...], int] = {}
-    for (left, right), coeff in _two_fold_terms(element):
-        for a, b in left.splits():
-            key = (a, b, right)
-            acc[key] = acc.get(key, 0) + coeff
-    return TensorElement._new(acc, 3)
+    return TensorElement._wrap({
+        (a, b, right): coeff
+        for (left, right), coeff in _two_fold_terms(element)
+        for a, b in left.splits()
+    }, 3)
 
 
 def coproduct_second(element: TensorElement) -> TensorElement:
     """Apply the coproduct to the second slot of a 2-fold tensor, giving a 3-fold one."""
-    acc: dict[tuple[Composition, ...], int] = {}
-    for (left, right), coeff in _two_fold_terms(element):
-        for a, b in right.splits():
-            key = (left, a, b)
-            acc[key] = acc.get(key, 0) + coeff
-    return TensorElement._new(acc, 3)
+    return TensorElement._wrap({
+        (left, a, b): coeff
+        for (left, right), coeff in _two_fold_terms(element)
+        for a, b in right.splits()
+    }, 3)
 
 
 def counit_first(element: TensorElement) -> QSymElement:
     """Contract the first slot of a 2-fold tensor with the counit."""
-    acc: dict[Composition, int] = {}
-    for (left, right), coeff in _two_fold_terms(element):
-        if len(left) == 0:
-            acc[right] = acc.get(right, 0) + coeff
-    return QSymElement._new(acc)
+    return QSymElement._wrap(
+        {right: coeff for (left, right), coeff in _two_fold_terms(element) if not left}
+    )
 
 
 def counit_second(element: TensorElement) -> QSymElement:
     """Contract the second slot of a 2-fold tensor with the counit."""
-    acc: dict[Composition, int] = {}
-    for (left, right), coeff in _two_fold_terms(element):
-        if len(right) == 0:
-            acc[left] = acc.get(left, 0) + coeff
-    return QSymElement._new(acc)
+    return QSymElement._wrap(
+        {left: coeff for (left, right), coeff in _two_fold_terms(element) if not right}
+    )
 
 
 def contract_product(element: TensorElement) -> QSymElement:

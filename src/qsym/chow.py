@@ -10,9 +10,10 @@ involution that swaps the roles of the two marked points upstairs.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Mapping
 
-from .algebra import QSymElement, TensorElement, _Sparse
+from .algebra import QSymElement, TensorElement, _is_int, _Sparse
 from .compositions import Composition
 
 
@@ -31,9 +32,9 @@ def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorEl
     acc = {
         key: coeff
         for key, coeff in element._terms.items()
-        if all(len(comp) <= bound for comp, bound in zip(key, bounds))
+        if all(map(le, map(len, key), bounds))
     }
-    return element._new(acc, element.arity)
+    return element._wrap(acc, element.arity)
 
 
 def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:
@@ -81,7 +82,7 @@ def deep_stratum_class(d: int) -> QSymElement:
 
 
 def _beta_power(power) -> int:
-    if not isinstance(power, int) or isinstance(power, bool) or power < 0:
+    if not _is_int(power) or power < 0:
         raise ValueError(f"beta power must be a nonnegative integer, got {power!r}")
     return power
 

@@ -25,7 +25,7 @@ from math import comb, factorial, prod
 from operator import add, itemgetter
 from typing import Iterator, Mapping
 
-from .algebra import QSymElement, _Memo, _Sparse
+from .algebra import QSymElement, _is_int, _Memo, _Sparse
 from .compositions import Composition, enumerate_compositions, enumerate_lyndon
 
 
@@ -42,15 +42,18 @@ class SparsePolynomial(_Sparse):
     _descending = True
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if num_vars < 0:
-            raise ValueError(f"variable count must be nonnegative, got {num_vars}")
+        if not _is_int(num_vars) or num_vars < 0:
+            raise ValueError(f"variable count must be a nonnegative integer, got {num_vars!r}")
 
         def exponents(exps) -> tuple[int, ...]:
             exps = tuple(exps)
             if len(exps) != num_vars:
                 raise ValueError(f"exponent tuple {exps!r} does not match {num_vars} variables")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps!r}")
+            for e in exps:
+                if not _is_int(e):
+                    raise ValueError(f"exponents must be integers, got {e!r} in {exps!r}")
+                if e < 0:
+                    raise ValueError(f"negative exponent in {exps!r}")
             return exps
 
         self._store(num_vars, terms, exponents)
@@ -77,9 +80,7 @@ class SparsePolynomial(_Sparse):
 
     def degree(self) -> int:
         """Largest total degree appearing; 0 for the zero polynomial."""
-        if not self._terms:
-            return 0
-        return max(sum(e) for e in self._terms)
+        return max(map(sum, self._terms), default=0)
 
     def __repr__(self) -> str:
         from .syntax import format_polynomial
@@ -135,7 +136,7 @@ def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
 
 def _packed_pattern(exps: tuple[int, ...]) -> tuple[int, ...]:
     """The subsequence of nonzero exponents, read left to right."""
-    return tuple(e for e in exps if e)
+    return tuple(filter(None, exps))
 
 
 def is_quasisymmetric(poly: SparsePolynomial) -> bool:
@@ -173,7 +174,7 @@ def from_polynomial(poly: SparsePolynomial) -> QSymElement:
         # the leading placement puts all nonzero exponents first
         if exps[: len(pattern)] == pattern:
             acc[Composition(pattern)] = coeff
-    return QSymElement._new(acc)
+    return QSymElement._wrap(acc)
 
 
 def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolynomial:
@@ -184,32 +185,35 @@ def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolyno
     is dropped.
     """
     positions = tuple(positions)
-    # Checked here, not in the cache: True hashes like 1, so (True,) would
-    # hit a cached (1,).
-    if any(not isinstance(p, int) or isinstance(p, bool) for p in positions):
-        raise ValueError(f"positions must be integers, got {positions!r}")
-    keep, kill = _face_selectors(poly.num_vars, positions)
+    try:
+        keep, kill, zeros = _face_selectors(poly.num_vars, *positions)
+    except TypeError:  # an unhashable position
+        raise ValueError(f"positions must be integers, got {positions!r}") from None
     # A surviving term is zero at every killed variable, so ``keep`` is
     # one-to-one on survivors and no two of them need adding up.
-    kept = {keep(exps): coeff for exps, coeff in poly._terms.items() if not any(kill(exps))}
-    return SparsePolynomial._new(kept, len(positions))
+    kept = {keep(exps): coeff for exps, coeff in poly._terms.items() if kill(exps) == zeros}
+    return SparsePolynomial._wrap(kept, len(positions))
 
 
-@lru_cache(maxsize=4096)
-def _face_selectors(num_vars: int, positions: tuple[int, ...]):
-    """The validated (keep, kill) selectors of one face map.
+@lru_cache(maxsize=4096, typed=True)
+def _face_selectors(num_vars: int, *positions: int):
+    """The validated (keep, kill) selectors of one face map, and the tuple
+    ``kill`` gives on a surviving term.
 
-    Raises ``ValueError`` for positions out of range or not strictly
-    increasing; ``lru_cache`` caches no exception, so a bad input raises on
-    every call.
+    Raises ``ValueError`` for positions that are not integers, out of range
+    or not strictly increasing; ``lru_cache`` caches no exception, so a bad
+    input raises on every call.  The cache is typed and takes one argument
+    per position, so ``True``, which hashes like ``1``, never hits a cached
+    ``1``.
     """
+    if not all(map(_is_int, positions)):
+        raise ValueError(f"positions must be integers, got {positions!r}")
     if any(p < 1 or p > num_vars for p in positions):
         raise ValueError(f"positions {positions!r} out of range for {num_vars} variables")
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be strictly increasing, got {positions!r}")
-    keep = _selector([p - 1 for p in positions])
-    kill = _selector([i for i in range(num_vars) if i + 1 not in positions])
-    return keep, kill
+    killed = [i for i in range(num_vars) if i + 1 not in positions]
+    return _selector([p - 1 for p in positions]), _selector(killed), (0,) * len(killed)
 
 
 def _selector(indices: list[int]):

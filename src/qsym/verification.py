@@ -200,19 +200,21 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
                     for kept in combinations(range(1, n + 1), m):
                         yield comp, kept, poly, expansions[m]
 
+    subsets = [kept for m in degrees for kept in combinations(range(1, max_degree + 1), m)]
+    # (outer, inner, the selection of inner within outer), shared by every composition
+    selections = [
+        (outer, inner, tuple(outer[i - 1] for i in inner))
+        for outer in subsets
+        for k in range(len(outer) + 1)
+        for inner in combinations(range(1, len(outer) + 1), k)
+    ]
+
     def composed_restrictions():
         for comp in basis:
             poly = expand(QSymElement.monomial(comp), max_degree)
-            selected = {
-                kept: face_map(poly, kept)
-                for m in degrees
-                for kept in combinations(range(1, max_degree + 1), m)
-            }
-            for outer, outer_poly in selected.items():
-                for k in range(len(outer) + 1):
-                    for inner in combinations(range(1, len(outer) + 1), k):
-                        composed = tuple(outer[i - 1] for i in inner)
-                        yield comp, outer, inner, outer_poly, selected[composed]
+            selected = {kept: face_map(poly, kept) for kept in subsets}
+            for outer, inner, composed in selections:
+                yield comp, outer, inner, selected[outer], selected[composed]
 
     return [
         _sweep("zero-insertion", insertions(),

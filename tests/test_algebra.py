@@ -1,6 +1,8 @@
 """The ring, coalgebra, and antipode, checked against independent routes."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,9 @@ from qsym.algebra import (
     tensor,
     triple_tensor,
 )
+from qsym.chow import truncate_tensor
 from qsym.compositions import Composition, enumerate_compositions
-from qsym.expansion import SparsePolynomial
+from qsym.expansion import SparsePolynomial, expand, face_map, from_polynomial
 from reference_impls import surjection_product
 
 
@@ -172,6 +175,8 @@ class TestProduct:
         assert f**3 == f * f * f
         with pytest.raises(ValueError):
             f**-1
+        with pytest.raises(ValueError, match="True"):
+            f**True
 
 
 def _stored_sizes(memo):
@@ -424,3 +429,146 @@ class TestTensors:
 
     def test_contract_product(self):
         assert contract_product(tensor(M([1]), M([1]))) == M([2]) + 2 * M([1, 1])
+
+
+def summed(pairs):
+    """Add up (key, coefficient) pairs into a dict, zero sums included."""
+    acc = {}
+    for key, coeff in pairs:
+        acc[key] = acc.get(key, 0) + coeff
+    return acc
+
+
+def slotwise_surjection_product(left, right):
+    """The tensor product slot by slot, each slot by ``surjection_product``."""
+    pairs = []
+    for key1, v1 in left.items():
+        for key2, v2 in right.items():
+            slots = [surjection_product(a, b).items() for a, b in zip(key1, key2)]
+            for choice in product(*slots):
+                pairs.append((tuple(c for c, _ in choice), v1 * v2 * prod(m for _, m in choice)))
+    return {key: v for key, v in summed(pairs).items() if v}
+
+
+# Small slots keep the arity-3 products, up to 13**3 terms per key pair, fast.
+slot_compositions = st.one_of(st.just(Composition()), compositions(max_weight=3, max_length=2))
+signed = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def tensor_pairs(draw):
+    """Two signed tensors of one arity; for half of them, left * right cancels."""
+    arity = draw(st.sampled_from([2, 3]))
+    terms = st.dictionaries(st.tuples(*[slot_compositions] * arity), signed, min_size=1, max_size=2)
+    p, q = TensorElement(arity, draw(terms)), TensorElement(arity, draw(terms))
+    if draw(st.booleans()):
+        return p + q, p - q  # the cross terms p*q and -q*p cancel
+    return p, q
+
+
+@given(tensor_pairs())
+@settings(max_examples=60, deadline=None)
+def test_tensor_product_agrees_with_slotwise_surjection_product(pair):
+    left, right = pair
+    expected = slotwise_surjection_product(left._terms, right._terms)
+    result = left * right
+    assert {tuple(map(tuple, key)): v for key, v in result.terms()} == expected
+    assert all(result._terms.values())
+
+
+# Every result built by ``_Sparse._wrap``, next to the same result summed term
+# by term and read through the public constructor, which drops zero sums.
+def _splits(c):
+    return [(c[:i], c[i:]) for i in range(len(c) + 1)]
+
+
+WRAPPED = {
+    "coproduct": (
+        lambda f, g, t, p: f.coproduct(),
+        lambda f, g, t, p: TensorElement(2, summed((cut, v) for c, v in f.terms() for cut in _splits(c))),
+    ),
+    "reverse_indices": (
+        lambda f, g, t, p: f.reverse_indices(),
+        lambda f, g, t, p: QSymElement(summed((c[::-1], v) for c, v in f.terms())),
+    ),
+    "truncate": (
+        lambda f, g, t, p: f.truncate(2),
+        lambda f, g, t, p: QSymElement(summed((c, v) for c, v in f.terms() if len(c) <= 2)),
+    ),
+    "homogeneous_part": (
+        lambda f, g, t, p: f.homogeneous_part(2),
+        lambda f, g, t, p: QSymElement(summed((c, v) for c, v in f.terms() if sum(c) == 2)),
+    ),
+    "negation": (
+        lambda f, g, t, p: -f,
+        lambda f, g, t, p: QSymElement(summed((c, -v) for c, v in f.terms())),
+    ),
+    "tensor": (
+        lambda f, g, t, p: tensor(f, g),
+        lambda f, g, t, p: TensorElement(
+            2, summed(((a, b), v * w) for a, v in f.terms() for b, w in g.terms())
+        ),
+    ),
+    "triple_tensor": (
+        lambda f, g, t, p: triple_tensor(f, g, f),
+        lambda f, g, t, p: TensorElement(3, summed(
+            ((a, b, c), u * v * w) for a, u in f.terms() for b, v in g.terms() for c, w in f.terms()
+        )),
+    ),
+    "coproduct_first": (
+        lambda f, g, t, p: coproduct_first(t),
+        lambda f, g, t, p: TensorElement(3, summed(
+            ((a, b, right), v) for (left, right), v in t.terms() for a, b in _splits(left)
+        )),
+    ),
+    "coproduct_second": (
+        lambda f, g, t, p: coproduct_second(t),
+        lambda f, g, t, p: TensorElement(3, summed(
+            ((left, a, b), v) for (left, right), v in t.terms() for a, b in _splits(right)
+        )),
+    ),
+    "counit_first": (
+        lambda f, g, t, p: counit_first(t),
+        lambda f, g, t, p: QSymElement(summed((right, v) for (left, right), v in t.terms() if not left)),
+    ),
+    "counit_second": (
+        lambda f, g, t, p: counit_second(t),
+        lambda f, g, t, p: QSymElement(summed((left, v) for (left, right), v in t.terms() if not right)),
+    ),
+    "truncate_tensor": (
+        lambda f, g, t, p: truncate_tensor(t, (1, 2)),
+        lambda f, g, t, p: TensorElement(2, summed(
+            (key, v) for key, v in t.terms() if len(key[0]) <= 1 and len(key[1]) <= 2
+        )),
+    ),
+    "face_map": (
+        lambda f, g, t, p: face_map(p, (1, 3)),
+        lambda f, g, t, p: SparsePolynomial(2, summed(((e[0], e[2]), v) for e, v in p.terms() if not e[1])),
+    ),
+    "from_polynomial": (
+        lambda f, g, t, p: from_polynomial(expand(f, max(f.degree(), 1))),
+        lambda f, g, t, p: f,
+    ),
+}
+
+# Zero coefficients are drawn on purpose: the public constructors drop them
+# before any wrapped operation sees the element.
+small_compositions = st.one_of(st.just(Composition()), compositions(max_weight=4, max_length=3))
+small_elements = st.dictionaries(small_compositions, st.integers(-3, 3), max_size=5).map(QSymElement)
+small_tensors = st.dictionaries(
+    st.tuples(small_compositions, small_compositions), st.integers(-3, 3), max_size=5
+).map(lambda terms: TensorElement(2, terms))
+small_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-3, 3), max_size=6
+).map(lambda terms: SparsePolynomial(3, terms))
+
+
+@pytest.mark.parametrize("name", WRAPPED)
+@given(f=small_elements, g=small_elements, t=small_tensors, p=small_polynomials)
+@settings(max_examples=25, deadline=None)
+def test_wrapped_results_match_the_zero_filtering_route(name, f, g, t, p):
+    wrapped, summed_route = WRAPPED[name]
+    result, expected = wrapped(f, g, t, p), summed_route(f, g, t, p)
+    assert type(result) is type(expected)
+    assert result == expected
+    assert 0 not in result._terms.values()

@@ -126,6 +126,8 @@ class TestBetaElement:
         assert (b + 1) ** 2 == b * b + 2 * b + 1
         with pytest.raises(ValueError):
             b**-2
+        with pytest.raises(ValueError, match="True"):
+            b**True
 
     def test_terms_descending(self):
         x = BetaElement({0: M([1]), 2: QSymElement.one(), 1: M([2])})

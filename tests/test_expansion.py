@@ -44,6 +44,18 @@ class TestSparsePolynomial:
             SparsePolynomial(2, {(1,): 1})
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(1, -1): 1})
+        # exponents and variable counts must be ints, not floats or bools;
+        # the message names the value
+        for num_vars, terms, shown in [
+            (2, {(1.5, 0): 1}, r"1\.5"),
+            (2, {(1, 2.0): 1}, r"2\.0"),
+            (2, {(True, 0): 1}, "True"),
+            (2, {(1.5, 0): 0}, r"1\.5"),
+            (2.0, {(1, 0): 1}, r"2\.0"),
+            (True, {(1,): 1}, "True"),
+        ]:
+            with pytest.raises(ValueError, match=shown):
+                SparsePolynomial(num_vars, terms)
 
     def test_zero_coefficients_dropped(self):
         assert SparsePolynomial(2, {(1, 0): 0}).is_zero()
@@ -252,6 +264,8 @@ class TestFaceMaps:
             face_map(poly, (4,))
         with pytest.raises(ValueError):
             face_map(poly, (True,))
+        with pytest.raises(ValueError, match="positions must be integers"):
+            face_map(poly, ([1],))
 
     def test_bool_rejected_after_the_equal_int_is_cached(self):
         poly = expand(M([1]), 3)
