@@ -378,6 +378,8 @@ class QSymElement(_Sparse):
         Models restriction to quasisymmetric functions in ``n`` ordered
         variables, where longer monomials vanish identically.
         """
+        if not _is_int(n):
+            raise ValueError(f"variable count must be an integer, got {n!r}")
         if n < 0:
             raise ValueError(f"variable count must be nonnegative, got {n}")
         return self._wrap({c: v for c, v in self._terms.items() if len(c) <= n})

@@ -44,6 +44,8 @@ def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:
     second: each basis term splits over all prefix/suffix cuts, and cuts
     whose halves are too long for their slot die in the quotient.
     """
+    if not (_is_int(n1) and _is_int(n2)):
+        raise ValueError(f"variable counts must be integers, got {n1!r}, {n2!r}")
     if n1 < 0 or n2 < 0:
         raise ValueError(f"variable counts must be nonnegative, got {n1}, {n2}")
     return truncate_tensor(element.coproduct(), (n1, n2))
@@ -76,6 +78,8 @@ def deep_stratum_class(d: int) -> QSymElement:
     A chain of ``d`` two-pointed rational curves: the basis element indexed
     by ``d`` parts equal to 1.
     """
+    if not _is_int(d):
+        raise ValueError(f"stratum depth must be an integer, got {d!r}")
     if d < 0:
         raise ValueError(f"stratum depth must be nonnegative, got {d}")
     return QSymElement.monomial([1] * d)

@@ -136,8 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The values are the syntax functions themselves, not wrappers around them, so
-# tracing that patches module-level dict values (bench/tracing.py) reaches them.
+# The values are the syntax functions themselves, or lambdas that look them up
+# at call time (a list of compositions prints one per line), so tracing that
+# patches module-level dict values and bindings (bench/tracing.py) reaches them.
 _RENDERERS = {
     (QSymElement, "text"): format_qsym,
     (QSymElement, "json"): json_qsym,
@@ -156,25 +157,15 @@ _RENDERERS = {
     (int, "text"): str,
     (int, "json"): int,
     (int, "latex"): str,
+    (list, "text"): lambda comps: "\n".join(map(format_composition, comps)),
+    (list, "json"): lambda comps: [list(c) for c in comps],
+    (list, "latex"): lambda comps: "\n".join(map(latex_composition, comps)),
 }
 
 
 def _emit(value, fmt: str) -> str:
     rendered = _RENDERERS[type(value), fmt](value)
     return json.dumps(rendered) if fmt == "json" else rendered
-
-
-def _cmd_lyndon(args) -> int:
-    if args.action == "count":
-        print(_emit(lyndon_count(args.weight), args.format))
-        return 0
-    compositions = enumerate_lyndon(args.weight)
-    if args.format == "json":
-        print(json.dumps([list(c) for c in compositions]))
-    else:
-        for comp in compositions:
-            print(_emit(comp, args.format))
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -210,6 +201,7 @@ _VALUES = {
     "psi": lambda args: gluing_pullback(parse_qsym(args.element), args.n1, args.n2),
     "tau": lambda args: marked_point_involution(parse_beta(args.element)),
     "stratum": lambda args: deep_stratum_class(args.depth),
+    "lyndon": lambda args: (lyndon_count if args.action == "count" else enumerate_lyndon)(args.weight),
 }
 
 
@@ -220,8 +212,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "lyndon":
-            return _cmd_lyndon(args)
         if args.command == "verify":
             return _cmd_verify(args)
         print(_emit(_VALUES[args.command](args), args.format))

@@ -125,6 +125,8 @@ def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
 
     Basis elements longer than ``num_vars`` expand to zero.
     """
+    if not _is_int(num_vars):
+        raise ValueError(f"variable count must be an integer, got {num_vars!r}")
     if num_vars < 0:
         raise ValueError(f"variable count must be nonnegative, got {num_vars}")
     acc: dict[tuple[int, ...], int] = {}

@@ -1,6 +1,6 @@
 """Parsing and printing for ring elements.
 
-One tokenizer serves every reader.  The surface syntax is small:
+The surface syntax is small:
 
 * composition: ``[3,1,4]``, with ``[]`` for the empty one
 * basis combination: ``3*[1,2] - [2,1] + 1`` (a bare integer is a multiple
@@ -9,6 +9,13 @@ One tokenizer serves every reader.  The surface syntax is small:
 * beta polynomial: ``([1]+2)*b^2 + [1,1]``; a term is a product of integer,
   composition, ``b``-power, and parenthesized-combination factors, with at
   most one ``b`` power per term
+
+One reader serves all four parsers.  The tokenizer yields ``(text,
+position)`` pairs ending in a sentinel ``("", len(text))``, so the cursor
+never checks for the end; an integer is a token whose text is digits.  The
+cursor has one signed-sum loop (``signed``) for the three sums, one check
+that a parse used every token (``whole``), and one helper (``fail``) for
+every "expected X but found T at position P" / "but input ended" error.
 
 Printers emit the same syntax back, always in canonical term order, so
 formatting is deterministic and round-trips through the parsers.  Text and
@@ -21,163 +28,190 @@ separate.  LaTeX and JSON are write-only.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 
 from .algebra import QSymElement, TensorElement
 from .chow import BetaElement
 from .compositions import Composition
 from .expansion import SparsePolynomial
 
+_T = TypeVar("_T")
+
 
 class ParseError(ValueError):
     """Raised on malformed input, naming the offending token and position."""
 
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<TENSOR>\(x\))
-  | (?P<INT>\d+)
-  | (?P<BETA>b)
-  | (?P<SYM>[\[\](),+\-*^])
-    """,
-    re.VERBOSE,
-)
+# A token, whitespace, or any other character (an error).
+_TOKEN_RE = re.compile(r"(\(x\)|\d+|[b\[\](),+\-*^])|\s+|(\S)")
+_SIGNS = {"+": 1, "-": -1}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """``(text, position)`` tokens, ending with the sentinel ``("", len(text))``."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        kind = match.lastgroup
-        if kind != "ws":
-            tokens.append((kind, match.group(), pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        token, bad = match.groups()
+        if bad:
+            raise ParseError(f"unexpected character {bad!r} at position {match.start()}")
+        if token:
+            tokens.append((token, match.start()))
+    tokens.append(("", len(text)))
     return tokens
 
 
-class _Parser:
+class _Cursor:
+    """Reads the tokens of one input left to right.
+
+    The sentinel is never consumed (no reader asks for the empty string),
+    so every look at the current token is safe.
+    """
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return None
+    def peek(self) -> tuple[str, int]:
+        return self.tokens[self.index]
 
-    def advance(self) -> tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
+    def accept(self, text: str) -> bool:
+        """Consume the current token if it is ``text``."""
+        if self.tokens[self.index][0] != text:
+            return False
         self.index += 1
-        return token
+        return True
 
-    def expect(self, text: str) -> tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
-            raise ParseError(f"expected {text!r} but input ended")
-        if token[1] != text:
-            raise ParseError(f"expected {text!r} but found {token[1]!r} at position {token[2]}")
-        return self.advance()
+    def fail(self, expected: str) -> NoReturn:
+        text, pos = self.tokens[self.index]
+        if not text:
+            raise ParseError(f"expected {expected} but input ended")
+        raise ParseError(f"expected {expected} but found {text!r} at position {pos}")
 
-    def at(self, text: str) -> bool:
-        token = self.peek()
-        return token is not None and token[1] == text
+    def expect(self, text: str) -> None:
+        if not self.accept(text):
+            self.fail(repr(text))
 
-    def at_kind(self, kind: str) -> bool:
-        token = self.peek()
-        return token is not None and token[0] == kind
+    def integer(self) -> int:
+        text = self.tokens[self.index][0]
+        if not text.isdecimal():
+            self.fail("an integer")
+        self.index += 1
+        return int(text)
 
-    def done(self) -> None:
-        token = self.peek()
-        if token is not None:
-            raise ParseError(f"unexpected {token[1]!r} at position {token[2]}")
+    def signed(self, term: Callable[[_Cursor], _T]) -> Iterator[tuple[int, _T]]:
+        """Yield ``(sign, term(self))`` for each term of ``[+|-] t (+|-) t ...``."""
+        sign = _SIGNS.get(self.peek()[0])
+        while True:
+            if sign is not None:
+                self.index += 1
+            yield sign or 1, term(self)
+            sign = _SIGNS.get(self.peek()[0])
+            if sign is None:
+                return
+
+    def whole(self, read: Callable[[_Cursor], _T]) -> _T:
+        """``read(self)``, which must consume every token."""
+        result = read(self)
+        text, pos = self.peek()
+        if text:
+            raise ParseError(f"unexpected {text!r} at position {pos}")
+        return result
 
 
-def _parse_int(parser: _Parser) -> int:
-    token = parser.peek()
-    if token is None:
-        raise ParseError("expected an integer but input ended")
-    if token[0] != "INT":
-        raise ParseError(f"expected an integer but found {token[1]!r} at position {token[2]}")
-    parser.advance()
-    return int(token[1])
-
-
-def _parse_composition(parser: _Parser) -> Composition:
-    parser.expect("[")
-    parts: list[int] = []
-    if parser.at("]"):
-        parser.advance()
+def _parse_composition(cursor: _Cursor) -> Composition:
+    cursor.expect("[")
+    if cursor.accept("]"):
         return Composition()
+    parts: list[int] = []
     while True:
-        token = parser.peek()
-        value = _parse_int(parser)
+        text, pos = cursor.peek()
+        value = cursor.integer()
         if value < 1:
-            raise ParseError(f"composition parts must be positive, found {token[1]!r} at position {token[2]}")
+            raise ParseError(f"composition parts must be positive, found {text!r} at position {pos}")
         parts.append(value)
-        if parser.at(","):
-            parser.advance()
-            continue
-        parser.expect("]")
-        return Composition(parts)
+        if not cursor.accept(","):
+            cursor.expect("]")
+            return Composition(parts)
 
 
-def _parse_sign(parser: _Parser, *, required: bool) -> int:
-    if parser.at("+"):
-        parser.advance()
-        return 1
-    if parser.at("-"):
-        parser.advance()
-        return -1
-    if required:
-        token = parser.peek()
-        if token is None:
-            raise ParseError("expected '+' or '-' but input ended")
-        raise ParseError(f"expected '+' or '-' but found {token[1]!r} at position {token[2]}")
-    return 1
+def _parse_qsym_term(cursor: _Cursor) -> tuple[Composition, int]:
+    if not cursor.peek()[0].isdecimal():
+        return _parse_composition(cursor), 1
+    value = cursor.integer()
+    return (_parse_composition(cursor) if cursor.accept("*") else Composition()), value
 
 
-def _parse_qsym_term(parser: _Parser) -> tuple[Composition, int]:
-    if parser.at_kind("INT"):
-        value = _parse_int(parser)
-        if parser.at("*"):
-            parser.advance()
-            return _parse_composition(parser), value
-        return Composition(), value
-    return _parse_composition(parser), 1
-
-
-def _parse_qsym_expr(parser: _Parser) -> QSymElement:
+def _parse_qsym_expr(cursor: _Cursor) -> QSymElement:
     acc: dict[Composition, int] = {}
-    sign = _parse_sign(parser, required=False)
-    while True:
-        comp, coeff = _parse_qsym_term(parser)
+    for sign, (comp, coeff) in cursor.signed(_parse_qsym_term):
         acc[comp] = acc.get(comp, 0) + sign * coeff
-        if not (parser.at("+") or parser.at("-")):
-            return QSymElement._new(acc)
-        sign = _parse_sign(parser, required=True)
+    return QSymElement._new(acc)
+
+
+def _parse_tensor_term(cursor: _Cursor) -> tuple[tuple[Composition, ...], int]:
+    coeff = 1
+    if cursor.peek()[0].isdecimal():
+        coeff = cursor.integer()
+        cursor.expect("*")
+    factors = [_parse_composition(cursor)]
+    while cursor.accept("(x)"):
+        factors.append(_parse_composition(cursor))
+    return tuple(factors), coeff
+
+
+def _parse_tensor(cursor: _Cursor) -> TensorElement:
+    acc: dict[tuple[Composition, ...], int] = {}
+    arity = 0
+    for sign, (key, coeff) in cursor.signed(_parse_tensor_term):
+        if len(key) not in (2, 3):
+            raise ParseError(f"tensor terms need 2 or 3 factors, found {len(key)}")
+        arity = arity or len(key)
+        if arity != len(key):
+            raise ParseError(f"tensor terms mix {arity} and {len(key)} factors")
+        acc[key] = acc.get(key, 0) + sign * coeff
+    return TensorElement._new(acc, arity)
+
+
+def _parse_beta_term(cursor: _Cursor) -> tuple[int, QSymElement]:
+    scalar = QSymElement.one()
+    beta_power: int | None = None
+    while True:
+        token, pos = cursor.peek()
+        if token.isdecimal():
+            scalar = scalar * cursor.integer()
+        elif token == "[":
+            scalar = scalar * QSymElement.monomial(_parse_composition(cursor))
+        elif cursor.accept("b"):
+            power = cursor.integer() if cursor.accept("^") else 1
+            if beta_power is not None:
+                raise ParseError(f"more than one beta factor in a term at position {pos}")
+            beta_power = power
+        elif cursor.accept("("):
+            scalar = scalar * _parse_qsym_expr(cursor)
+            cursor.expect(")")
+        else:
+            cursor.fail("a factor")
+        if not cursor.accept("*"):
+            return beta_power or 0, scalar
+
+
+def _parse_beta(cursor: _Cursor) -> BetaElement:
+    acc: dict[int, dict[Composition, int]] = {}
+    for sign, (power, scalar) in cursor.signed(_parse_beta_term):
+        row = acc.setdefault(power, {})
+        for comp, coeff in scalar._terms.items():
+            row[comp] = row.get(comp, 0) + sign * coeff
+    return BetaElement._new({p: QSymElement._new(row) for p, row in acc.items()})
 
 
 def parse_composition(text: str) -> Composition:
     """Read ``[3,1,4]`` or ``[]``."""
-    parser = _Parser(text)
-    result = _parse_composition(parser)
-    parser.done()
-    return result
+    return _Cursor(text).whole(_parse_composition)
 
 
 def parse_qsym(text: str) -> QSymElement:
     """Read a combination like ``3*[1,2] - [2,1] + 1``."""
-    parser = _Parser(text)
-    result = _parse_qsym_expr(parser)
-    parser.done()
-    return result
+    return _Cursor(text).whole(_parse_qsym_expr)
 
 
 def parse_tensor(text: str) -> TensorElement:
@@ -185,89 +219,12 @@ def parse_tensor(text: str) -> TensorElement:
 
     Every term must use the same number of factors (two or three).
     """
-    parser = _Parser(text)
-    acc: dict[tuple[Composition, ...], int] = {}
-    arity: int | None = None
-    sign = _parse_sign(parser, required=False)
-    while True:
-        coeff = sign
-        if parser.at_kind("INT"):
-            coeff *= _parse_int(parser)
-            parser.expect("*")
-        factors = [_parse_composition(parser)]
-        while parser.at_kind("TENSOR"):
-            parser.advance()
-            factors.append(_parse_composition(parser))
-        if len(factors) not in (2, 3):
-            raise ParseError(
-                f"tensor terms need 2 or 3 factors, found {len(factors)}"
-            )
-        if arity is None:
-            arity = len(factors)
-        elif arity != len(factors):
-            raise ParseError(
-                f"tensor terms mix {arity} and {len(factors)} factors"
-            )
-        key = tuple(factors)
-        acc[key] = acc.get(key, 0) + coeff
-        if parser.at("+") or parser.at("-"):
-            sign = _parse_sign(parser, required=True)
-            continue
-        parser.done()
-        return TensorElement._new(acc, arity)
-
-
-def _parse_beta_term(parser: _Parser) -> tuple[int, QSymElement]:
-    scalar = QSymElement.one()
-    beta_power: int | None = None
-    while True:
-        if parser.at_kind("INT"):
-            scalar = scalar * _parse_int(parser)
-        elif parser.at("["):
-            scalar = scalar * QSymElement.monomial(_parse_composition(parser))
-        elif parser.at_kind("BETA"):
-            token = parser.advance()
-            power = 1
-            if parser.at("^"):
-                parser.advance()
-                power = _parse_int(parser)
-            if beta_power is not None:
-                raise ParseError(
-                    f"more than one beta factor in a term at position {token[2]}"
-                )
-            beta_power = power
-        elif parser.at("("):
-            parser.advance()
-            scalar = scalar * _parse_qsym_expr(parser)
-            parser.expect(")")
-        else:
-            token = parser.peek()
-            if token is None:
-                raise ParseError("expected a factor but input ended")
-            raise ParseError(
-                f"expected a factor but found {token[1]!r} at position {token[2]}"
-            )
-        if parser.at("*"):
-            parser.advance()
-            continue
-        return (beta_power if beta_power is not None else 0), scalar
+    return _Cursor(text).whole(_parse_tensor)
 
 
 def parse_beta(text: str) -> BetaElement:
     """Read a beta polynomial like ``([1]+2)*b^2 + [1,1] - b``."""
-    parser = _Parser(text)
-    acc: dict[int, dict[Composition, int]] = {}
-    sign = _parse_sign(parser, required=False)
-    while True:
-        power, scalar = _parse_beta_term(parser)
-        row = acc.setdefault(power, {})
-        for comp, coeff in scalar._terms.items():
-            row[comp] = row.get(comp, 0) + sign * coeff
-        if not (parser.at("+") or parser.at("-")):
-            break
-        sign = _parse_sign(parser, required=True)
-    parser.done()
-    return BetaElement._new({p: QSymElement._new(row) for p, row in acc.items()})
+    return _Cursor(text).whole(_parse_beta)
 
 
 # -- text and LaTeX printers ----------------------------------------------

@@ -356,8 +356,11 @@ class TestReversalAndTruncation:
         assert f.truncate(2) == M([1]) + M([1, 1])
         assert f.truncate(0) == QSymElement.zero()
         assert (1 + f).truncate(0) == QSymElement.one()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variable count must be nonnegative, got -1$"):
             f.truncate(-1)
+        for bad in (1.5, True, "2"):
+            with pytest.raises(ValueError, match=rf"^variable count must be an integer, got {bad!r}$"):
+                f.truncate(bad)
 
     def test_truncation_is_a_ring_quotient(self):
         # terms longer than n are exactly what dies in n variables, so

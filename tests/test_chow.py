@@ -65,8 +65,11 @@ class TestGluingPullback:
         assert gluing_pullback(f + g, 2, 2) == gluing_pullback(f, 2, 2) + gluing_pullback(g, 2, 2)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variable counts must be nonnegative, got -1, 2$"):
             gluing_pullback(M([1]), -1, 2)
+        for n1, n2 in [(1.5, 1), (1, True), (2.0, 2)]:
+            with pytest.raises(ValueError, match=rf"^variable counts must be integers, got {n1!r}, {n2!r}$"):
+                gluing_pullback(M([1, 1]), n1, n2)
 
     def test_matches_coproduct_through_weight_five(self):
         for comp in all_compositions(5):
@@ -80,8 +83,11 @@ class TestDeepStratum:
         assert deep_stratum_class(3) == M([1, 1, 1])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^stratum depth must be nonnegative, got -1$"):
             deep_stratum_class(-1)
+        for bad in (True, 2.0):
+            with pytest.raises(ValueError, match=rf"^stratum depth must be an integer, got {bad!r}$"):
+                deep_stratum_class(bad)
 
     def test_coproduct_splits_the_chain(self):
         for d in range(6):

@@ -141,8 +141,11 @@ class TestExpand:
         assert expand(3 * f, 4) == 3 * expand(f, 4)
 
     def test_negative_variable_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variable count must be nonnegative, got -1$"):
             expand(M([1]), -1)
+        for bad in (True, 2.0, None):
+            with pytest.raises(ValueError, match=rf"^variable count must be an integer, got {bad!r}$"):
+                expand(M([1]), bad)
 
     def test_multiplicative_against_recursion(self):
         # the two product routes share no code: one recurses on leading

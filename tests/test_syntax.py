@@ -396,11 +396,86 @@ def test_polynomial_expansion_format_is_stable(element, num_vars):
     assert format_polynomial(poly) == format_polynomial(expand(element, num_vars))
 
 
-@given(st.text(max_size=30))
-@settings(max_examples=300, deadline=None)
+_PARSERS = {
+    "composition": parse_composition,
+    "qsym": parse_qsym,
+    "tensor": parse_tensor,
+    "beta": parse_beta,
+}
+
+# Strings over the token alphabet, plus a character outside it, reach the
+# parsers' error sites far more often than arbitrary text does.
+_token_strings = st.lists(
+    st.sampled_from(["[", "]", ",", "+", "-", "*", "^", "(", ")", "(x)", "b",
+                     "0", "1", "2", "13", " ", "x"]),
+    max_size=14,
+).map("".join)
+
+
+@given(st.text(max_size=30) | _token_strings)
+@settings(max_examples=700, deadline=None)
 def test_parser_total_on_arbitrary_text(text):
-    for parse in (parse_qsym, parse_tensor, parse_beta, parse_composition):
+    for parse in _PARSERS.values():
         try:
             parse(text)
         except ParseError:
             pass
+
+
+# Every reachable error message of the reader, word for word.  Sites: the
+# tokenizer, "expected X" at end of input and at a token (X one of '[', ']',
+# '*', ')', an integer, a factor), a trailing token (where a sign or the end
+# was expected), composition parts, tensor arities and beta factors.
+_ERRORS = [
+    ("composition", "", "expected '[' but input ended"),
+    ("composition", "1", "expected '[' but found '1' at position 0"),
+    ("composition", "[", "expected an integer but input ended"),
+    ("composition", "[b]", "expected an integer but found 'b' at position 1"),
+    ("composition", "[1", "expected ']' but input ended"),
+    ("composition", "[1 2]", "expected ']' but found '2' at position 3"),
+    ("composition", "[x", "unexpected character 'x' at position 1"),
+    ("composition", " [1] x", "unexpected character 'x' at position 5"),
+    ("composition", "[]]", "unexpected ']' at position 2"),
+    ("composition", "[0]", "composition parts must be positive, found '0' at position 1"),
+    ("composition", "[1,00]", "composition parts must be positive, found '00' at position 3"),
+    ("qsym", "", "expected '[' but input ended"),
+    ("qsym", "[1]+", "expected '[' but input ended"),
+    ("qsym", "-b", "expected '[' but found 'b' at position 1"),
+    ("qsym", "2*3", "expected '[' but found '3' at position 2"),
+    ("qsym", "[1,]", "expected an integer but found ']' at position 3"),
+    ("qsym", "[1] [2]", "unexpected '[' at position 4"),
+    ("qsym", "3 * [1] - 2 2", "unexpected '2' at position 12"),
+    ("qsym", "[1] % 2", "unexpected character '%' at position 4"),
+    ("qsym", "[2,0]", "composition parts must be positive, found '0' at position 3"),
+    ("tensor", "", "expected '[' but input ended"),
+    ("tensor", "[1] (x) [2] +", "expected '[' but input ended"),
+    ("tensor", "2", "expected '*' but input ended"),
+    ("tensor", "2 [1]", "expected '*' but found '[' at position 2"),
+    ("tensor", "[1] (x) [2] )", "unexpected ')' at position 12"),
+    ("tensor", "[1](y)", "unexpected character 'y' at position 4"),
+    ("tensor", "[1]", "tensor terms need 2 or 3 factors, found 1"),
+    ("tensor", "[1] (x) [2] (x) [3] (x) [4]", "tensor terms need 2 or 3 factors, found 4"),
+    ("tensor", "[1] (x) [2] + [1] (x) [2] (x) [3]", "tensor terms mix 2 and 3 factors"),
+    ("tensor", "2*[1] (x) [] - [] (x) [] (x) []", "tensor terms mix 2 and 3 factors"),
+    ("beta", "", "expected a factor but input ended"),
+    ("beta", "[1]*", "expected a factor but input ended"),
+    ("beta", "*", "expected a factor but found '*' at position 0"),
+    ("beta", "(x)", "expected a factor but found '(x)' at position 0"),
+    ("beta", "b^", "expected an integer but input ended"),
+    ("beta", "b^b", "expected an integer but found 'b' at position 2"),
+    ("beta", "([1]", "expected ')' but input ended"),
+    ("beta", "([1]]", "expected ')' but found ']' at position 4"),
+    ("beta", "((1))", "expected '[' but found '(' at position 1"),
+    ("beta", "b b", "unexpected 'b' at position 2"),
+    ("beta", "b*b", "more than one beta factor in a term at position 2"),
+    ("beta", "2*b^2*[1]*b", "more than one beta factor in a term at position 10"),
+    ("beta", "[0]", "composition parts must be positive, found '0' at position 1"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", _ERRORS)
+def test_parse_error_messages(kind, text, message):
+    with pytest.raises(ParseError) as info:
+        _PARSERS[kind](text)
+    assert str(info.value) == message
+

@@ -12,7 +12,11 @@ The calls, all made in one process through :func:`qsym.cli.run`:
 - each suite at its ``verify-deep`` bound (``bench/workloads.py``), in text
   and JSON;
 - the first ``--session-calls`` calls (default 1,500) of the benchmark's
-  session streams for seeds 1, 2 and 3.
+  session streams for seeds 1, 2 and 3;
+- a fixed list of calls (``FIXED_CALLS``): malformed ``qsym`` and ``beta``
+  operands, ``lyndon count|list`` in every format, out-of-range counts, and
+  ``--help`` of the program and of each subcommand.  Help is wrapped at ``COLUMNS=80`` so that it does
+  not depend on the terminal.
 
 Each call contributes its argv, exit code, stdout and stderr to the digest.
 ``--max-degree`` caps every verify bound, for a quick run; the full digest
@@ -27,6 +31,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +43,36 @@ from workloads import DEEP_DEGREES, session_calls  # noqa: E402
 
 SESSION_SEEDS = (1, 2, 3)
 FORMATS = ("text", "json")
+SUBCOMMANDS = (
+    "mul", "coproduct", "antipode", "counit", "sigma", "truncate", "expand",
+    "lyndon", "lyndon count", "lyndon list", "psi", "tau", "stratum", "verify",
+)
+BAD_QSYM = (
+    "", "[", "[1", "[1 2]", "[b]", "[0]", "[1,00]", "[1]+", "2*3", "[1,]",
+    "[1] [2]", "3 * [1] - 2 2", "[1] % 2", "+", "b", "(x)",
+)
+BAD_BETA = (
+    "", "b^", "b^b", "[1]*", "*", "(x)", "([1]", "([1]]", "((1))", "b b", "b*b",
+    "2*b^2*[1]*b", "[0]", "b^2 + [1] )", "[1] ? b",
+)
+FIXED_CALLS = [
+    *(["antipode", text] for text in BAD_QSYM),
+    ["mul", "[1]", "[1]]"],
+    ["antipode", "--", "-b"],
+    *(["tau", text] for text in BAD_BETA),
+    ["tau", "--", "-b^"],
+    *(["lyndon", action, "5", "--format", fmt]
+      for action in ("count", "list") for fmt in ("text", "json", "latex")),
+    ["lyndon", "list", "0"],
+    ["lyndon", "count", "0"],
+    ["lyndon", "list", "--", "-1"],
+    ["expand", "[1]", "-1"],
+    ["truncate", "[1]", "--", "-1"],
+    ["psi", "[1]", "1", "--", "-1"],
+    ["stratum", "--", "-1"],
+    ["--help"],
+    *([*command.split(), "--help"] for command in SUBCOMMANDS),
+]
 
 
 def digest_calls(session_count: int = 1500, max_degree: int | None = None) -> list[list[str]]:
@@ -53,11 +88,12 @@ def digest_calls(session_count: int = 1500, max_degree: int | None = None) -> li
     calls += [
         list(call.argv) for seed in SESSION_SEEDS for call in session_calls(seed, session_count)
     ]
-    return calls
+    return calls + FIXED_CALLS
 
 
 def output_digest(calls: list[list[str]]) -> str:
     """The sha256 over argv, exit code, stdout and stderr of each call."""
+    os.environ["COLUMNS"] = "80"
     digest = hashlib.sha256()
     for argv in calls:
         out, err = io.StringIO(), io.StringIO()
