@@ -35,15 +35,10 @@ class _Memo:
     in, first out, so a hit costs one dict lookup and no reordering.  An
     empty result is charged as one term, so the budget bounds entries too.
 
-    While an outermost call runs, results too long to keep go into a scratch
-    dict that the recursive calls inside it read as well, so a recursion
-    computes each of its sub-results once; the dict goes when that outermost
-    call returns.
-
     ``cache_info()`` reports like ``functools.lru_cache`` does, with
     ``maxsize`` the term budget and ``currsize`` the stored entries, plus
     the evictions and the stored terms.  A miss is one computed result; a
-    hit is a result found in the memo or in the scratch dict.
+    hit is a result found in the memo.
     """
 
     budget = 1 << 18
@@ -52,7 +47,6 @@ class _Memo:
     def __init__(self, fn: Callable[..., tuple]):
         update_wrapper(self, fn)
         self._fn = fn
-        self._scratch: dict | None = None
         self.cache_clear()
 
     def cache_clear(self) -> None:
@@ -75,22 +69,10 @@ class _Memo:
         return value
 
     def _miss(self, key: tuple):
-        scratch = self._scratch
-        if scratch is None:  # an outermost call
-            self._scratch = {}
-            try:
-                return self._miss(key)
-            finally:
-                self._scratch = None
-        value = scratch.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
         self.misses += 1
         value = self._fn(*key)
         size = len(value) or 1
         if size > self.entry_cap:
-            scratch[key] = value
             return value
         entries = self._entries
         entries[key] = value
@@ -106,27 +88,36 @@ class _Memo:
 def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[Composition, int], ...]:
     """Quasi-shuffle of two part tuples as ((composition, coefficient), ...).
 
-    Three-branch recursion on the leading parts: take the head of the left
-    factor, take the head of the right factor, or merge both heads into one
-    part.  Output-sensitive and memoised by :class:`_Memo`; callers must not
-    mutate the result.
+    Hoffman's quasi-shuffle product (*Quasi-shuffle products*, J. Algebraic
+    Combin. 11, 2000), built bottom-up over pairs of suffixes.  With
+    ``a = left[i]``, ``b = right[j]`` and ``below`` the row of products of
+    ``left[i + 1:]``, the product of ``left[i:]`` and ``right[j:]`` is
+
+        row[j] = a.below[j] + b.row[j + 1] + (a + b).below[j + 1]
+
+    where ``x.`` puts the part x in front of every term.  Two rows of dicts
+    keyed by plain int tuples are alive at once; the keys become
+    :class:`Composition` only at the top, in no particular order.  Memoised
+    whole by :class:`_Memo`; callers must not mutate the result.
     """
-    if not left:
-        return ((_composition(right), 1),)
-    if not right:
-        return ((_composition(left), 1),)
-    a, b = left[0], right[0]
-    acc: dict[tuple[int, ...], int] = {}
-    for parts, c in _quasi_shuffle(left[1:], right):
-        key = (a,) + parts
-        acc[key] = acc.get(key, 0) + c
-    for parts, c in _quasi_shuffle(left, right[1:]):
-        key = (b,) + parts
-        acc[key] = acc.get(key, 0) + c
-    for parts, c in _quasi_shuffle(left[1:], right[1:]):
-        key = (a + b,) + parts
-        acc[key] = acc.get(key, 0) + c
-    return tuple(sorted((_composition(key), c) for key, c in acc.items()))
+    if not left or not right:
+        return ((_composition(left or right), 1),)
+    n = len(right)
+    below = [{right[j:]: 1} for j in range(n + 1)]  # the row of the empty left suffix
+    for i in range(len(left) - 1, -1, -1):
+        a = left[i]
+        row = [None] * n + [{left[i:]: 1}]
+        for j in range(n - 1, -1, -1):
+            b = right[j]
+            acc = {(a,) + k: c for k, c in below[j].items()}
+            for k, c in row[j + 1].items():  # these meet the first branch when a == b
+                k = (b,) + k
+                acc[k] = acc.get(k, 0) + c
+            ab = a + b  # larger than both heads, so its terms are new keys
+            acc.update({(ab,) + k: c for k, c in below[j + 1].items()})
+            row[j] = acc
+        below = row
+    return tuple([(_composition(k), c) for k, c in below[0].items()])
 
 
 # The composition and the multiplicity of a quasi-shuffle term.

@@ -1,6 +1,6 @@
 """Polynomial expansions of quasisymmetric functions, and checks built on them.
 
-This module is deliberately independent of the quasi-shuffle recursion in
+This module is deliberately independent of the quasi-shuffle kernel in
 :mod:`qsym.algebra`: a basis element is expanded into an honest polynomial in
 finitely many ordered variables by summing over strictly increasing placements
 of its parts.  Multiplying expansions therefore gives a second, unrelated

@@ -43,7 +43,7 @@ class ParseError(ValueError):
 
 
 # A token, whitespace, or any other character (an error).
-_TOKEN_RE = re.compile(r"(\(x\)|\d+|[b\[\](),+\-*^])|\s+|(\S)")
+_TOKEN_RE = re.compile(r"(\(x\)|[0-9]+|[b\[\](),+\-*^])|\s+|(\S)")
 _SIGNS = {"+": 1, "-": -1}
 
 

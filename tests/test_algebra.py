@@ -215,14 +215,23 @@ class TestKernelMemo:
         assert len(terms) > _quasi_shuffle.entry_cap
         assert dict(terms) == surjection_product(*self.LONG)
         assert self.LONG not in _quasi_shuffle._entries
-        assert max(_stored_sizes(_quasi_shuffle)) <= _quasi_shuffle.entry_cap
+        assert max(_stored_sizes(_quasi_shuffle), default=0) <= _quasi_shuffle.entry_cap
 
     def test_oversized_sub_results_are_computed_once(self):
-        # Every sub-result is a product of two suffixes; those too long to
-        # keep live in the call's scratch dict instead of being recomputed.
-        left, right = self.LONG
-        _quasi_shuffle(left, right)
-        assert _quasi_shuffle.misses <= (len(left) + 1) * (len(right) + 1)
+        # The products of suffixes are rows of a table inside one kernel
+        # call, not memo entries, so a cold product is exactly one miss.
+        _quasi_shuffle(*self.LONG)
+        assert (_quasi_shuffle.hits, _quasi_shuffle.misses) == (0, 1)
+
+    @pytest.mark.parametrize("left, right", [
+        ((), ()),
+        ((), (2, 1)),
+        ((3, 1, 3), ()),
+        ((1, 1, 1), (1, 1)),
+        ((2, 1, 2), (2, 2, 1, 2)),
+    ])
+    def test_empty_sides_and_repeated_parts(self, left, right):
+        assert dict(_quasi_shuffle(left, right)) == surjection_product(left, right)
 
     def test_cache_info_reports_the_counters(self):
         M([1, 2]) * M([2, 1])

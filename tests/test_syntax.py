@@ -446,6 +446,7 @@ _ERRORS = [
     ("qsym", "[1] [2]", "unexpected '[' at position 4"),
     ("qsym", "3 * [1] - 2 2", "unexpected '2' at position 12"),
     ("qsym", "[1] % 2", "unexpected character '%' at position 4"),
+    ("qsym", "\u0663*[1]", "unexpected character '\u0663' at position 0"),
     ("qsym", "[2,0]", "composition parts must be positive, found '0' at position 3"),
     ("tensor", "", "expected '[' but input ended"),
     ("tensor", "[1] (x) [2] +", "expected '[' but input ended"),

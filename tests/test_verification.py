@@ -176,8 +176,10 @@ def test_forced_failure_names_kept_variables(monkeypatch):
 
 
 def test_forced_failure_names_gluing_split(monkeypatch):
+    # Every truncation goes through this binding, so a doubled one makes both
+    # sides of the 1+1 split differ by a factor of four.
     _patch(monkeypatch, "truncate_tensor",
-           lambda k: lambda t, sizes: None if sizes == (1, 1) else k(t, sizes))
+           lambda k: lambda t, sizes: 2 * k(t, sizes) if sizes == (1, 1) else k(t, sizes))
     assert (_detail(verification.mu_checks(3), "gluing-multiplicative")
             == "failed at ([], [1,1], 1+1) and 4 more")
 
