@@ -136,7 +136,8 @@ class _Sparse:
     (tensor arity, variable count, or None) that operands must share.  This
     base owns +, -, integer scaling, ==, hash, bool, len and the canonical
     order of :meth:`terms`.  Each subclass supplies its constructor
-    validation, its lift of scalars, its term order and its own product.
+    validation, its lift of scalars, its own product and ``_order``: the
+    canonical order of its keys, as a list.
 
     Internal results are built by :meth:`_new`, which drops zero
     coefficients, or by :meth:`_wrap`, which stores the dict it is given.
@@ -150,9 +151,6 @@ class _Sparse:
     # The key a lifted scalar sits on: an element with no other key equals,
     # and so must hash like, its coefficient there.
     _SCALAR_KEY = None
-    # Canonical order of terms(): a sort key on term keys, and its direction.
-    _sort_key = None
-    _descending = False
 
     @staticmethod
     def _coefficient(value):
@@ -194,7 +192,7 @@ class _Sparse:
 
     def terms(self) -> Iterator[tuple]:
         """Terms in the canonical order of the type."""
-        for key in sorted(self._terms, key=self._sort_key, reverse=self._descending):
+        for key in self._order(self._terms):
             yield key, self._terms[key]
 
     def is_zero(self) -> bool:
@@ -275,8 +273,9 @@ class QSymElement(_Sparse):
         self._store(None, terms, Composition)
 
     @staticmethod
-    def _sort_key(comp: Composition) -> tuple[int, Composition]:
-        return comp.sort_key
+    def _order(comps: Iterable[Composition]) -> list[Composition]:
+        """Weight first, then lexicographic: a stable sort by weight of the lex order."""
+        return sorted(sorted(comps), key=sum)
 
     @classmethod
     def _lift(cls, other):
@@ -409,9 +408,9 @@ class TensorElement(_Sparse):
         self._store(arity, terms, factors)
 
     @staticmethod
-    def _sort_key(key: tuple[Composition, ...]) -> tuple:
+    def _order(keys: Iterable[tuple[Composition, ...]]) -> list[tuple[Composition, ...]]:
         """Factorwise weight-then-lex."""
-        return tuple(c.sort_key for c in key)
+        return sorted(keys, key=lambda key: [(sum(c), c) for c in key])
 
     @property
     def arity(self) -> int:
@@ -471,12 +470,12 @@ def map_slot(
     ``fn`` is evaluated on basis elements; it must be linear for the result
     to be meaningful.  If ``fn`` returns sums, the slot is re-expanded.
     """
-    if not 0 <= slot < element.arity:
-        raise ValueError(f"slot {slot} out of range for arity {element.arity}")
+    if not (_is_int(slot) and 0 <= slot < element.arity):
+        raise ValueError(f"slot must be an integer from 0 to {element.arity - 1}, got {slot!r}")
     acc: dict[tuple[Composition, ...], int] = {}
     for key, coeff in element._terms.items():
         image = fn(QSymElement._new({key[slot]: 1}))
-        for comp, c in image.terms():
+        for comp, c in image._terms.items():
             new_key = key[:slot] + (comp,) + key[slot + 1 :]
             acc[new_key] = acc.get(new_key, 0) + coeff * c
     return element._new(acc, element.arity)

@@ -11,7 +11,7 @@ involution that swaps the roles of the two marked points upstairs.
 from __future__ import annotations
 
 from operator import le
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .algebra import QSymElement, TensorElement, _is_int, _Sparse
 from .compositions import Composition
@@ -27,8 +27,8 @@ def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorEl
         raise ValueError(
             f"expected {element.arity} length bounds, got {len(bounds)}"
         )
-    if any(b < 0 for b in bounds):
-        raise ValueError(f"length bounds must be nonnegative, got {bounds!r}")
+    if not all(_is_int(b) and b >= 0 for b in bounds):
+        raise ValueError(f"length bounds must be nonnegative integers, got {bounds!r}")
     acc = {
         key: coeff
         for key, coeff in element._terms.items()
@@ -103,10 +103,13 @@ class BetaElement(_Sparse):
     __slots__ = ()
 
     _SCALAR_KEY = 0
-    _descending = True
 
     def __init__(self, coeffs: Mapping[int, QSymElement] | None = None):
         self._store(None, coeffs, _beta_power)
+
+    @staticmethod
+    def _order(powers: Iterable[int]) -> list[int]:
+        return sorted(powers, reverse=True)
 
     @staticmethod
     def _coefficient(value) -> QSymElement:

@@ -37,11 +37,6 @@ class Composition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    @property
-    def sort_key(self) -> tuple[int, "Composition"]:
-        """Canonical ordering key: weight first, then lexicographic."""
-        return (sum(self), self)
-
     def __repr__(self) -> str:
         return f"Composition({list(self)})"
 
@@ -64,26 +59,20 @@ class Composition(tuple):
         """All compositions obtained by summing groups of consecutive parts.
 
         Returns 2**(len-1) distinct compositions for a nonempty composition,
-        and just the empty composition for the empty one, sorted canonically.
+        and just the empty composition for the empty one.  They share one
+        weight, so lexicographic order is the canonical order, and they are
+        built in it: a wider first group gives a larger first part.
         """
         n = len(self)
-        if n == 0:
-            return [self]
-        out = []
-        # each bitmask picks which of the n-1 gaps stay as part boundaries
-        for mask in range(1 << (n - 1)):
-            grouped = []
-            acc = self[0]
-            for i in range(1, n):
-                if mask & (1 << (i - 1)):
-                    grouped.append(acc)
-                    acc = self[i]
-                else:
-                    acc += self[i]
-            grouped.append(acc)
-            out.append(_composition(grouped))
-        out.sort(key=lambda c: c.sort_key)
-        return out
+        # tails[i]: the coarsenings of self[i:] as plain tuples, in lex order
+        tails: list[list[tuple[int, ...]]] = [[()]] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            first, out = 0, []
+            for k in range(i, n):
+                first += self[k]
+                out.extend([(first,) + tail for tail in tails[k + 1]])
+            tails[i] = out
+        return [_composition(c) for c in tails[0]]
 
     def splits(self) -> list[tuple["Composition", "Composition"]]:
         """All ways to cut into a prefix and a suffix, len+1 in total."""
@@ -111,21 +100,12 @@ def compare_lex(left: Composition, right: Composition) -> int:
 def enumerate_compositions(n: int) -> list[Composition]:
     """All compositions of weight ``n`` in lexicographic order.
 
-    There are 2**(n-1) of them for n >= 1, and only the empty one for n = 0.
+    These are the coarsenings of n parts equal to 1: 2**(n-1) of them for
+    n >= 1, and only the empty one for n = 0.
     """
     if n < 0:
         raise ValueError(f"weight must be nonnegative, got {n}")
-    out: list[Composition] = []
-
-    def rec(remaining: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(_composition(prefix))
-            return
-        for first in range(1, remaining + 1):
-            rec(remaining - first, prefix + (first,))
-
-    rec(n, ())
-    return out
+    return _composition((1,) * n).coarsenings()
 
 
 def enumerate_lyndon(n: int) -> list[Composition]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 from operator import add, itemgetter
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .algebra import QSymElement, _is_int, _Memo, _Sparse
 from .compositions import Composition, enumerate_compositions, enumerate_lyndon
@@ -39,7 +39,6 @@ class SparsePolynomial(_Sparse):
     __slots__ = ()
 
     _SHAPE_NAME = "variable count"
-    _descending = True
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if not _is_int(num_vars) or num_vars < 0:
@@ -59,9 +58,9 @@ class SparsePolynomial(_Sparse):
         self._store(num_vars, terms, exponents)
 
     @staticmethod
-    def _sort_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """Graded lexicographic; :meth:`terms` runs it in descending order."""
-        return (sum(exps), exps)
+    def _order(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Graded lexicographic, descending: degree first, then lex within a degree."""
+        return sorted(sorted(keys, reverse=True), key=sum, reverse=True)
 
     @property
     def num_vars(self) -> int:
@@ -279,15 +278,12 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
 def lyndon_monomial_multisets(weight: int) -> list[tuple[Composition, ...]]:
     """All multisets of Lyndon compositions with total weight ``weight``.
 
-    Each multiset is a tuple sorted by the canonical composition order.
+    Each multiset is a tuple in the canonical composition order, which is
+    the order the generators are listed in: by weight, then lexicographic.
     """
     if weight < 0:
         raise ValueError(f"weight must be nonnegative, got {weight}")
-    generators: list[Composition] = []
-    for w in range(1, weight + 1):
-        generators.extend(enumerate_lyndon(w))
-    generators.sort(key=lambda c: c.sort_key)
-
+    generators = [g for w in range(1, weight + 1) for g in enumerate_lyndon(w)]
     out: list[tuple[Composition, ...]] = []
 
     def recurse(start: int, remaining: int, chosen: list[Composition]) -> None:
@@ -297,7 +293,7 @@ def lyndon_monomial_multisets(weight: int) -> list[tuple[Composition, ...]]:
         for i in range(start, len(generators)):
             g = generators[i]
             if g.weight > remaining:
-                break  # generators are sorted by weight first
+                break  # generators are listed by weight first
             chosen.append(g)
             recurse(i, remaining - g.weight, chosen)
             chosen.pop()

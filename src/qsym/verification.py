@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator
 from .algebra import (
     QSymElement,
     TensorElement,
+    _is_int,
     contract_product,
     coproduct_first,
     coproduct_second,
@@ -386,6 +387,8 @@ def run_suite(name: str, max_degree: int | None = None) -> list[Check]:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_degree is None:
         max_degree = DEFAULT_DEGREES[name]
+    if not _is_int(max_degree):
+        raise ValueError(f"max degree must be an integer, got {max_degree!r}")
     if max_degree < 0:
         raise ValueError(f"max degree must be nonnegative, got {max_degree}")
     return SUITES[name](max_degree)

@@ -22,7 +22,7 @@ from qsym.algebra import (
     tensor,
     triple_tensor,
 )
-from qsym.chow import truncate_tensor
+from qsym.chow import BetaElement, truncate_tensor
 from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import SparsePolynomial, expand, face_map, from_polynomial
 from reference_impls import surjection_product
@@ -428,6 +428,12 @@ class TestTensors:
         with pytest.raises(ValueError):
             map_slot(two, 2, QSymElement.reverse_indices)
 
+    @pytest.mark.parametrize("slot", [True, False, 1.0, "0"])
+    def test_map_slot_rejects_a_non_int_slot(self, slot):
+        two = tensor(M([1, 2]), M([3]))
+        with pytest.raises(ValueError, match=f"got {slot!r}$"):
+            map_slot(two, slot, QSymElement.reverse_indices)
+
     def test_slotwise_coproducts_on_tensors(self):
         f = M([1, 2])
         delta = f.coproduct()
@@ -584,3 +590,31 @@ def test_wrapped_results_match_the_zero_filtering_route(name, f, g, t, p):
     assert type(result) is type(expected)
     assert result == expected
     assert 0 not in result._terms.values()
+
+
+# terms() is pinned to the sort keys the types once used, written out here;
+# small keys make weight and degree ties common.
+CANONICAL_ORDER = {
+    QSymElement: (lambda c: (sum(c), c), False),
+    TensorElement: (lambda key: tuple((sum(c), c) for c in key), False),
+    SparsePolynomial: (lambda exps: (sum(exps), exps), True),
+    BetaElement: (lambda power: power, True),
+}
+
+
+@given(st.one_of(
+    st.dictionaries(small_compositions, signed, max_size=8).map(QSymElement),
+    st.dictionaries(
+        st.tuples(small_compositions, small_compositions), signed, max_size=8
+    ).map(lambda terms: TensorElement(2, terms)),
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), signed, max_size=8
+    ).map(lambda terms: SparsePolynomial(3, terms)),
+    st.dictionaries(st.integers(0, 4), small_elements.filter(bool), max_size=4).map(BetaElement),
+))
+@settings(max_examples=100, deadline=None)
+def test_terms_run_in_the_canonical_order(element):
+    key, descending = CANONICAL_ORDER[type(element)]
+    keys = [k for k, _ in element.terms()]
+    assert keys == sorted(keys, key=key, reverse=descending)
+    assert len(keys) == len(element)

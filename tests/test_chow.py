@@ -1,5 +1,7 @@
 """Gluing pullbacks, stratum classes, and the beta extension."""
 
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +41,12 @@ class TestTruncateTensor:
             truncate_tensor(element, (1,))
         with pytest.raises(ValueError):
             truncate_tensor(element, (1, -1))
+
+    @pytest.mark.parametrize("bounds", [(1.5, 2), (True, 2), ("a", 2)])
+    def test_non_int_bound_rejected(self, bounds):
+        element = tensor(M([1]), M([1]))
+        with pytest.raises(ValueError, match=re.escape(repr(bounds))):
+            truncate_tensor(element, bounds)
 
     def test_zero_bounds(self):
         element = M([1]).coproduct()

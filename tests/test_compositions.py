@@ -1,6 +1,8 @@
 """Compositions, the lexicographic order, Lyndon words, and counting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsym.compositions import (
     Composition,
@@ -133,6 +135,13 @@ class TestCoarsenings:
 
     def test_empty(self):
         assert Composition().coarsenings() == [Composition()]
+
+    @given(st.lists(st.integers(1, 4), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_built_in_strictly_increasing_lex_order(self, parts):
+        coarser = Composition(parts).coarsenings()
+        assert all(a < b for a, b in zip(coarser, coarser[1:]))
+        assert coarser == sorted(coarsenings_by_merging(tuple(parts)))
 
     def test_example(self):
         coarser = {c.parts for c in Composition([1, 2, 1]).coarsenings()}

@@ -25,3 +25,12 @@ def test_digest_of_a_small_slice_is_stable():
     assert first[1] == 2 + 12 + 12 + 62
     assert _digest("--session-calls", "4", "--max-degree", "2") == first
     assert _digest("--session-calls", "5", "--max-degree", "2")[0] != first[0]
+
+
+def test_digest_of_a_larger_slice_is_pinned():
+    # The CLI's text, JSON and LaTeX bytes on 976 calls, including the first
+    # 300 calls of each session stream; a change to any printed byte or to
+    # the canonical term order moves it.
+    assert _digest("--session-calls", "300", "--max-degree", "4") == (
+        "1b7e43e0df8af1b4bcc72286ba633be9c7355610049b314c97410deaa6671fdb", 976
+    )

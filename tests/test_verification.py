@@ -1,5 +1,7 @@
 """The check suites themselves, run at reduced bounds for speed."""
 
+import inspect
+
 import pytest
 
 from qsym import verification
@@ -20,6 +22,16 @@ class TestRegistry:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             run_suite("hopf", -1)
+
+    @pytest.mark.parametrize("degree", [True, 2.0, "3"])
+    def test_non_int_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match=f"got {degree!r}$"):
+            run_suite("hopf", degree)
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_suite_default_is_the_registered_default(self, name):
+        default = inspect.signature(SUITES[name]).parameters["max_degree"].default
+        assert default == DEFAULT_DEGREES[name]
 
 
 @pytest.mark.parametrize("name,degree", [
