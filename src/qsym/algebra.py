@@ -5,18 +5,23 @@ compositions.  The product is the quasi-shuffle (overlapping shuffle) of the
 indexing compositions; the coproduct is deconcatenation; the antipode is a
 signed sum over coarsenings of the reversed composition.  Everything is exact:
 coefficients are Python ints, so they never overflow.
+
+Each tensor-slot operation has one body: :func:`coproduct_at`, :func:`counit_at`
+and :func:`tensor`.  The names per slot and arity (``coproduct_first``,
+``triple_tensor``, ...) stay bound to them: they are public, and the Hopf checks
+call them by name, so tracing that patches those names sees the calls.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from functools import update_wrapper
+from functools import partial, update_wrapper
 from itertools import product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .compositions import Composition, _composition
+from .compositions import Composition, _check_count, _composition, _is_int
 
 CompositionLike = Composition | Iterable[int]
 
@@ -122,11 +127,6 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
 
 # The composition and the multiplicity of a quasi-shuffle term.
 _first, _second = itemgetter(0), itemgetter(1)
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is an ``int`` and not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _Sparse:
@@ -368,10 +368,7 @@ class QSymElement(_Sparse):
         Models restriction to quasisymmetric functions in ``n`` ordered
         variables, where longer monomials vanish identically.
         """
-        if not _is_int(n):
-            raise ValueError(f"variable count must be an integer, got {n!r}")
-        if n < 0:
-            raise ValueError(f"variable count must be nonnegative, got {n}")
+        _check_count(n, "variable count")
         return self._wrap({c: v for c, v in self._terms.items() if len(c) <= n})
 
     def homogeneous_part(self, d: int) -> "QSymElement":
@@ -382,6 +379,11 @@ class QSymElement(_Sparse):
 def monomial(composition: CompositionLike) -> QSymElement:
     """Shorthand for :meth:`QSymElement.monomial`."""
     return QSymElement.monomial(composition)
+
+
+def _check_arity(arity: int) -> None:
+    if arity not in (2, 3):
+        raise ValueError(f"tensor arity must be 2 or 3, got {arity}")
 
 
 class TensorElement(_Sparse):
@@ -397,8 +399,7 @@ class TensorElement(_Sparse):
     _SHAPE_NAME = "tensor arity"
 
     def __init__(self, arity: int, terms: Mapping[tuple, int] | None = None):
-        if arity not in (2, 3):
-            raise ValueError(f"tensor arity must be 2 or 3, got {arity}")
+        _check_arity(arity)
 
         def factors(key) -> tuple[Composition, ...]:
             if len(key) != arity:
@@ -445,21 +446,18 @@ class TensorElement(_Sparse):
         return self._new(acc, self._shape)
 
 
-def _tensor(*factors: QSymElement) -> TensorElement:
+def tensor(*factors: QSymElement) -> TensorElement:
+    """The tensor of two or three elements, linear in each factor."""
+    _check_arity(len(factors))
     acc: dict[tuple[Composition, ...], int] = {(): 1}
     for factor in factors:
         acc = {key + (c,): v * w for key, v in acc.items() for c, w in factor._terms.items()}
     return TensorElement._wrap(acc, len(factors))
 
 
-def tensor(left: QSymElement, right: QSymElement) -> TensorElement:
-    """The 2-fold tensor of two elements, bilinear in both slots."""
-    return _tensor(left, right)
-
-
-def triple_tensor(a: QSymElement, b: QSymElement, c: QSymElement) -> TensorElement:
-    """The 3-fold tensor of three elements."""
-    return _tensor(a, b, c)
+def _check_slot(slot, arity: int) -> None:
+    if not (_is_int(slot) and 0 <= slot < arity):
+        raise ValueError(f"slot must be an integer from 0 to {arity - 1}, got {slot!r}")
 
 
 def map_slot(
@@ -470,8 +468,7 @@ def map_slot(
     ``fn`` is evaluated on basis elements; it must be linear for the result
     to be meaningful.  If ``fn`` returns sums, the slot is re-expanded.
     """
-    if not (_is_int(slot) and 0 <= slot < element.arity):
-        raise ValueError(f"slot must be an integer from 0 to {element.arity - 1}, got {slot!r}")
+    _check_slot(slot, element.arity)
     acc: dict[tuple[Composition, ...], int] = {}
     for key, coeff in element._terms.items():
         image = fn(QSymElement._new({key[slot]: 1}))
@@ -481,47 +478,40 @@ def map_slot(
     return element._new(acc, element.arity)
 
 
-def _two_fold_terms(element: TensorElement):
-    """The (key, coefficient) items of a 2-fold tensor."""
+def _two_fold_terms(element: TensorElement, slot: int | None = None):
+    """The (key, coefficient) items of a 2-fold tensor, after checking ``slot``."""
     if element.arity != 2:
         raise ValueError(f"tensor arity mismatch: {element.arity} vs 2")
+    if slot is not None:
+        _check_slot(slot, 2)
     return element._terms.items()
 
 
-# In the four slot operations below, each key of the result arises from one
+# In the two slot operations below, each key of the result arises from one
 # term only, so the results are built without accumulating.
 
 
-def coproduct_first(element: TensorElement) -> TensorElement:
-    """Apply the coproduct to the first slot of a 2-fold tensor, giving a 3-fold one."""
+def coproduct_at(element: TensorElement, slot: int) -> TensorElement:
+    """Apply the coproduct to one slot of a 2-fold tensor, giving a 3-fold one."""
     return TensorElement._wrap({
-        (a, b, right): coeff
-        for (left, right), coeff in _two_fold_terms(element)
-        for a, b in left.splits()
+        key[:slot] + cut + key[slot + 1 :]: coeff
+        for key, coeff in _two_fold_terms(element, slot)
+        for cut in key[slot].splits()
     }, 3)
 
 
-def coproduct_second(element: TensorElement) -> TensorElement:
-    """Apply the coproduct to the second slot of a 2-fold tensor, giving a 3-fold one."""
-    return TensorElement._wrap({
-        (left, a, b): coeff
-        for (left, right), coeff in _two_fold_terms(element)
-        for a, b in right.splits()
-    }, 3)
-
-
-def counit_first(element: TensorElement) -> QSymElement:
-    """Contract the first slot of a 2-fold tensor with the counit."""
+def counit_at(element: TensorElement, slot: int) -> QSymElement:
+    """Contract one slot of a 2-fold tensor with the counit."""
     return QSymElement._wrap(
-        {right: coeff for (left, right), coeff in _two_fold_terms(element) if not left}
+        {key[1 - slot]: coeff for key, coeff in _two_fold_terms(element, slot) if not key[slot]}
     )
 
 
-def counit_second(element: TensorElement) -> QSymElement:
-    """Contract the second slot of a 2-fold tensor with the counit."""
-    return QSymElement._wrap(
-        {left: coeff for (left, right), coeff in _two_fold_terms(element) if not right}
-    )
+coproduct_first = partial(coproduct_at, slot=0)
+coproduct_second = partial(coproduct_at, slot=1)
+counit_first = partial(counit_at, slot=0)
+counit_second = partial(counit_at, slot=1)
+triple_tensor = tensor
 
 
 def contract_product(element: TensorElement) -> QSymElement:

@@ -13,8 +13,8 @@ from __future__ import annotations
 from operator import le
 from typing import Iterable, Mapping
 
-from .algebra import QSymElement, TensorElement, _is_int, _Sparse
-from .compositions import Composition
+from .algebra import QSymElement, TensorElement, _Sparse
+from .compositions import Composition, _check_count, _is_int
 
 
 def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorElement:
@@ -78,10 +78,7 @@ def deep_stratum_class(d: int) -> QSymElement:
     A chain of ``d`` two-pointed rational curves: the basis element indexed
     by ``d`` parts equal to 1.
     """
-    if not _is_int(d):
-        raise ValueError(f"stratum depth must be an integer, got {d!r}")
-    if d < 0:
-        raise ValueError(f"stratum depth must be nonnegative, got {d}")
+    _check_count(d, "stratum depth")
     return QSymElement.monomial([1] * d)
 
 

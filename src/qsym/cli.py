@@ -6,6 +6,12 @@ and writes to stdout in one of three formats (``--format text|json|latex``;
 always appear in canonical order.  Malformed input exits with status 2; a
 failed verification suite exits with status 1.
 
+The commands are read from one table, ``_COMMANDS``, in help order: each
+entry holds a command's help text, its positional arguments and the value it
+prints, and one loop builds the parsers from it.  Two commands differ:
+``lyndon`` has no description and hands its arguments to its two actions,
+and ``verify``, which prints its own report, is built by hand after the loop.
+
 :func:`run` may be called many times in one process.  The argument parser is
 built once, on the first call, and reused.  The kernel caches behind it are
 bounded, so a long-lived caller's memory stays bounded: the memos of
@@ -47,15 +53,49 @@ from .syntax import (
 from .verification import SUITES, run_suite
 
 
-def _add_format(
-    parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("text", "json", "latex")
-) -> None:
+def _add_format(parser: argparse.ArgumentParser, formats=("text", "json", "latex")) -> None:
     parser.add_argument(
-        "--format",
-        choices=formats,
-        default="text",
-        help="output format (default: text)",
+        "--format", choices=formats, default="text", help="output format (default: text)"
     )
+
+
+# name -> (help text, positional arguments as (name, type, help), value).  The
+# value lambdas look up module globals and methods at call time, so tracing that
+# patches module bindings and class attributes (bench/tracing.py) reaches them.
+_ELEMENT, _NUM_VARS = ("element", str, None), ("num_vars", int, None)
+_COMMANDS = {
+    "mul": ("multiply two basis combinations",
+            [("left", str, "a combination like '3*[1,2] - [2,1] + 1'"),
+             ("right", str, "a combination like '[1,1]'")],
+            lambda args: parse_qsym(args.left) * parse_qsym(args.right)),
+    "coproduct": ("split a combination over all prefix/suffix cuts", [_ELEMENT],
+                  lambda args: parse_qsym(args.element).coproduct()),
+    "antipode": ("apply the antipode", [_ELEMENT],
+                 lambda args: parse_qsym(args.element).antipode()),
+    "counit": ("extract the coefficient of the empty composition", [_ELEMENT],
+               lambda args: parse_qsym(args.element).counit()),
+    "sigma": ("reverse every indexing composition", [_ELEMENT],
+              lambda args: parse_qsym(args.element).reverse_indices()),
+    "truncate": ("drop terms longer than a variable count", [_ELEMENT, _NUM_VARS],
+                 lambda args: parse_qsym(args.element).truncate(args.num_vars)),
+    "expand": ("expand into a polynomial in ordered variables a1..an", [_ELEMENT, _NUM_VARS],
+               lambda args: expand(parse_qsym(args.element), args.num_vars)),
+    "lyndon": ("Lyndon compositions of one weight", [("weight", int, None)],
+               lambda args: (lyndon_count if args.action == "count" else enumerate_lyndon)(args.weight)),
+    "psi": ("pull a combination back along the gluing map",
+            [_ELEMENT, ("n1", int, "variables kept in the first factor"),
+             ("n2", int, "variables kept in the second factor")],
+            lambda args: gluing_pullback(parse_qsym(args.element), args.n1, args.n2)),
+    "tau": ("apply the marked-point involution to a beta polynomial",
+            [("element", str, "a beta polynomial like '([1]+2)*b^2 + [1,1]'")],
+            lambda args: marked_point_involution(parse_beta(args.element))),
+    "stratum": ("the class of the deepest boundary stratum", [("depth", int, None)],
+                lambda args: deep_stratum_class(args.depth)),
+}
+_LYNDON_ACTIONS = (
+    ("count", "how many Lyndon compositions have this weight"),
+    ("list", "list the Lyndon compositions of this weight"),
+)
 
 
 # Built on first use rather than at import, and reused: parse_args returns a
@@ -68,71 +108,22 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for quasisymmetric functions in the monomial basis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        _add_format(p)
-        return p
-
-    p = add("mul", "multiply two basis combinations")
-    p.add_argument("left", help="a combination like '3*[1,2] - [2,1] + 1'")
-    p.add_argument("right", help="a combination like '[1,1]'")
-
-    p = add("coproduct", "split a combination over all prefix/suffix cuts")
-    p.add_argument("element")
-
-    p = add("antipode", "apply the antipode")
-    p.add_argument("element")
-
-    p = add("counit", "extract the coefficient of the empty composition")
-    p.add_argument("element")
-
-    p = add("sigma", "reverse every indexing composition")
-    p.add_argument("element")
-
-    p = add("truncate", "drop terms longer than a variable count")
-    p.add_argument("element")
-    p.add_argument("num_vars", type=int)
-
-    p = add("expand", "expand into a polynomial in ordered variables a1..an")
-    p.add_argument("element")
-    p.add_argument("num_vars", type=int)
-
-    lyndon = sub.add_parser("lyndon", help="Lyndon compositions of one weight")
-    lyndon_sub = lyndon.add_subparsers(dest="action", required=True)
-    p = lyndon_sub.add_parser("count", help="how many Lyndon compositions have this weight")
-    p.add_argument("weight", type=int)
-    _add_format(p)
-    p = lyndon_sub.add_parser("list", help="list the Lyndon compositions of this weight")
-    p.add_argument("weight", type=int)
-    _add_format(p)
-
-    p = add("psi", "pull a combination back along the gluing map")
-    p.add_argument("element")
-    p.add_argument("n1", type=int, help="variables kept in the first factor")
-    p.add_argument("n2", type=int, help="variables kept in the second factor")
-
-    p = add("tau", "apply the marked-point involution to a beta polynomial")
-    p.add_argument("element", help="a beta polynomial like '([1]+2)*b^2 + [1,1]'")
-
-    p = add("stratum", "the class of the deepest boundary stratum")
-    p.add_argument("depth", type=int)
-
+    for name, (help_text, arguments, _) in _COMMANDS.items():
+        if name == "lyndon":
+            lyndon = sub.add_parser(name, help=help_text)
+            actions = lyndon.add_subparsers(dest="action", required=True)
+            parsers = [actions.add_parser(action, help=text) for action, text in _LYNDON_ACTIONS]
+        else:
+            parsers = [sub.add_parser(name, help=help_text, description=help_text)]
+        for p in parsers:
+            for argument, kind, argument_help in arguments:
+                p.add_argument(argument, type=kind, help=argument_help)
+            _add_format(p)
     p = sub.add_parser("verify", help="run exhaustive structural check suites")
-    p.add_argument(
-        "suite",
-        nargs="?",
-        choices=sorted(SUITES),
-        help="one suite to run (default: all)",
-    )
-    p.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help="override the weight bound of the swept suites",
-    )
+    p.add_argument("suite", nargs="?", choices=sorted(SUITES),
+                   help="one suite to run (default: all)")
+    p.add_argument("--max-degree", type=int, help="override the weight bound of the swept suites")
     _add_format(p, ("text", "json"))
-
     return parser
 
 
@@ -163,11 +154,6 @@ _RENDERERS = {
 }
 
 
-def _emit(value, fmt: str) -> str:
-    rendered = _RENDERERS[type(value), fmt](value)
-    return json.dumps(rendered) if fmt == "json" else rendered
-
-
 def _cmd_verify(args) -> int:
     report, verdicts = [], []
     for name in [args.suite] if args.suite else SUITES:
@@ -186,25 +172,6 @@ def _cmd_verify(args) -> int:
     return 0 if all(verdicts) else 1
 
 
-# The value each single-result command prints.  The lambdas look up module
-# globals and call methods by attribute at call time, so tracing that patches
-# module bindings and class attributes (bench/tracing.py) reaches them; a
-# method object stored here would escape it.
-_VALUES = {
-    "mul": lambda args: parse_qsym(args.left) * parse_qsym(args.right),
-    "coproduct": lambda args: parse_qsym(args.element).coproduct(),
-    "antipode": lambda args: parse_qsym(args.element).antipode(),
-    "counit": lambda args: parse_qsym(args.element).counit(),
-    "sigma": lambda args: parse_qsym(args.element).reverse_indices(),
-    "truncate": lambda args: parse_qsym(args.element).truncate(args.num_vars),
-    "expand": lambda args: expand(parse_qsym(args.element), args.num_vars),
-    "psi": lambda args: gluing_pullback(parse_qsym(args.element), args.n1, args.n2),
-    "tau": lambda args: marked_point_involution(parse_beta(args.element)),
-    "stratum": lambda args: deep_stratum_class(args.depth),
-    "lyndon": lambda args: (lyndon_count if args.action == "count" else enumerate_lyndon)(args.weight),
-}
-
-
 def run(argv: list[str]) -> int:
     """Run one invocation and return its exit status."""
     try:
@@ -214,7 +181,9 @@ def run(argv: list[str]) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        print(_emit(_VALUES[args.command](args), args.format))
+        value = _COMMANDS[args.command][2](args)
+        rendered = _RENDERERS[type(value), args.format](value)
+        print(json.dumps(rendered) if args.format == "json" else rendered)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

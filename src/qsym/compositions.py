@@ -10,6 +10,19 @@ from __future__ import annotations
 from typing import Iterable
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an ``int`` and not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_count(value, what: str, positive: bool = False) -> None:
+    """Reject a ``value`` that is not an int, or is below 1 (``positive``) or 0."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < positive:
+        raise ValueError(f"{what} must be {'positive' if positive else 'nonnegative'}, got {value}")
+
+
 class Composition(tuple):
     """An immutable tuple of positive integers, possibly empty.
 
@@ -26,12 +39,8 @@ class Composition(tuple):
         if isinstance(parts, Composition):
             return
         for p in self:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+            if not _is_int(p) or p < 1:
                 raise ValueError(f"composition parts must be positive integers, got {p!r}")
-
-    @property
-    def parts(self) -> tuple[int, ...]:
-        return tuple(self)
 
     @property
     def weight(self) -> int:
@@ -103,22 +112,19 @@ def enumerate_compositions(n: int) -> list[Composition]:
     These are the coarsenings of n parts equal to 1: 2**(n-1) of them for
     n >= 1, and only the empty one for n = 0.
     """
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
+    _check_count(n, "weight")
     return _composition((1,) * n).coarsenings()
 
 
 def enumerate_lyndon(n: int) -> list[Composition]:
     """All Lyndon compositions of weight ``n`` in lexicographic order."""
-    if n < 1:
-        raise ValueError(f"weight must be positive, got {n}")
+    _check_count(n, "weight", positive=True)
     return [c for c in enumerate_compositions(n) if c.is_lyndon()]
 
 
 def mobius(d: int) -> int:
     """Number-theoretic Moebius function: 0 on non-squarefree d, else (-1)**#primes."""
-    if d < 1:
-        raise ValueError(f"argument must be positive, got {d}")
+    _check_count(d, "argument", positive=True)
     nprimes = 0
     p = 2
     while p * p <= d:
@@ -138,8 +144,7 @@ def lyndon_count(n: int) -> int:
 
     Computed as (1/n) * sum over divisors d of n of mobius(d) * (2**(n/d) - 1).
     """
-    if n < 1:
-        raise ValueError(f"weight must be positive, got {n}")
+    _check_count(n, "weight", positive=True)
     total = 0
     for d in range(1, n + 1):
         if n % d == 0:

@@ -25,8 +25,10 @@ from math import comb, factorial, prod
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .algebra import QSymElement, _is_int, _Memo, _Sparse
-from .compositions import Composition, enumerate_compositions, enumerate_lyndon
+from .algebra import QSymElement, _Memo, _Sparse
+from .compositions import (
+    Composition, _check_count, _is_int, enumerate_compositions, enumerate_lyndon
+)
 
 
 class SparsePolynomial(_Sparse):
@@ -124,10 +126,7 @@ def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
 
     Basis elements longer than ``num_vars`` expand to zero.
     """
-    if not _is_int(num_vars):
-        raise ValueError(f"variable count must be an integer, got {num_vars!r}")
-    if num_vars < 0:
-        raise ValueError(f"variable count must be nonnegative, got {num_vars}")
+    _check_count(num_vars, "variable count")
     acc: dict[tuple[int, ...], int] = {}
     for comp, coeff in element._terms.items():
         for exps in _basis_expansion(comp, num_vars):
@@ -281,8 +280,7 @@ def lyndon_monomial_multisets(weight: int) -> list[tuple[Composition, ...]]:
     Each multiset is a tuple in the canonical composition order, which is
     the order the generators are listed in: by weight, then lexicographic.
     """
-    if weight < 0:
-        raise ValueError(f"weight must be nonnegative, got {weight}")
+    _check_count(weight, "weight")
     generators = [g for w in range(1, weight + 1) for g in enumerate_lyndon(w)]
     out: list[tuple[Composition, ...]] = []
 
@@ -377,8 +375,7 @@ def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
     fails, the rank is computed exactly by :func:`rational_rank` on
     :func:`lyndon_generation_matrix`, the only path that uses ``Fraction``.
     """
-    if weight < 1:
-        raise ValueError(f"weight must be positive, got {weight}")
+    _check_count(weight, "weight", positive=True)
     dimension = 2 ** (weight - 1)
     multisets = lyndon_monomial_multisets(weight)
     if _leading_terms_triangular(multisets):

@@ -19,7 +19,6 @@ from typing import Callable, Iterable, Iterator
 from .algebra import (
     QSymElement,
     TensorElement,
-    _is_int,
     contract_product,
     coproduct_first,
     coproduct_second,
@@ -34,7 +33,9 @@ from .chow import (
     marked_point_involution,
     truncate_tensor,
 )
-from .compositions import Composition, enumerate_compositions, enumerate_lyndon, lyndon_count
+from .compositions import (
+    Composition, _check_count, enumerate_compositions, enumerate_lyndon, lyndon_count
+)
 from .expansion import (
     expand,
     face_map,
@@ -387,10 +388,7 @@ def run_suite(name: str, max_degree: int | None = None) -> list[Check]:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if max_degree is None:
         max_degree = DEFAULT_DEGREES[name]
-    if not _is_int(max_degree):
-        raise ValueError(f"max degree must be an integer, got {max_degree!r}")
-    if max_degree < 0:
-        raise ValueError(f"max degree must be nonnegative, got {max_degree}")
+    _check_count(max_degree, "max degree")
     return SUITES[name](max_degree)
 
 

@@ -47,7 +47,7 @@ def test_criterion_1_frozen_reference_values(capsys):
     )
     counts_ok = [lyndon_count(n) for n in range(1, 8)] == [1, 1, 2, 3, 6, 9, 18]
     generators_ok = [
-        [c.parts for c in enumerate_lyndon(n)] for n in range(1, 5)
+        [tuple(c) for c in enumerate_lyndon(n)] for n in range(1, 5)
     ] == [[(1,)], [(2,)], [(1, 2), (3,)], [(1, 1, 2), (1, 3), (4,)]]
     beta_ok = marked_point_involution(BetaElement.beta()) == BetaElement(
         {1: QSymElement.from_int(-1), 0: M([1])}

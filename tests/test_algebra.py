@@ -1,5 +1,6 @@
 """The ring, coalgebra, and antipode, checked against independent routes."""
 
+import re
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -13,8 +14,10 @@ from qsym.algebra import (
     TensorElement,
     _quasi_shuffle,
     contract_product,
+    coproduct_at,
     coproduct_first,
     coproduct_second,
+    counit_at,
     counit_first,
     counit_second,
     map_slot,
@@ -62,7 +65,7 @@ class TestElementBasics:
 
     def test_terms_canonical_order(self):
         f = M([3]) + M([1, 2]) + M([1]) + QSymElement.one()
-        assert [c.parts for c, _ in f.terms()] == [(), (1,), (1, 2), (3,)]
+        assert [tuple(c) for c, _ in f.terms()] == [(), (1,), (1, 2), (3,)]
 
     def test_degree(self):
         assert QSymElement.zero().degree() == 0
@@ -135,14 +138,14 @@ class TestProduct:
         pairs = [(a, b) for a in comps for b in comps if a.weight + b.weight <= 6]
         assert len(pairs) > 100
         for a, b in pairs:
-            expected = surjection_product(a.parts, b.parts)
-            assert {c.parts: v for c, v in (M(a) * M(b)).terms()} == expected
+            expected = surjection_product(tuple(a), tuple(b))
+            assert {tuple(c): v for c, v in (M(a) * M(b)).terms()} == expected
 
     def test_agrees_with_surjection_enumeration_weight_seven(self):
         pairs = [((1, 2), (1, 1, 2)), ((3,), (2, 1, 1)), ((1, 1, 1), (2, 2))]
         for a, b in pairs:
             expected = surjection_product(a, b)
-            assert {c.parts: v for c, v in (M(a) * M(b)).terms()} == expected
+            assert {tuple(c): v for c, v in (M(a) * M(b)).terms()} == expected
 
     def test_commutative(self):
         comps = [c for c in all_compositions(5) if len(c)]
@@ -255,8 +258,8 @@ def compositions(draw, max_weight=10, max_length=5):
 @given(compositions(), compositions())
 @settings(max_examples=100, deadline=None)
 def test_product_agrees_with_surjection_enumeration_fuzz(a, b):
-    expected = surjection_product(a.parts, b.parts)
-    assert {c.parts: v for c, v in (M(a) * M(b)).terms()} == expected
+    expected = surjection_product(tuple(a), tuple(b))
+    assert {tuple(c): v for c, v in (M(a) * M(b)).terms()} == expected
 
 
 class TestCoproduct:
@@ -448,6 +451,24 @@ class TestTensors:
     def test_contract_product(self):
         assert contract_product(tensor(M([1]), M([1]))) == M([2]) + 2 * M([1, 1])
 
+    @pytest.mark.parametrize("op", [coproduct_at, counit_at])
+    @pytest.mark.parametrize("arity, slot, message", [
+        (2, True, "slot must be an integer from 0 to 1, got True"),
+        (2, -1, "slot must be an integer from 0 to 1, got -1"),
+        (2, 2, "slot must be an integer from 0 to 1, got 2"),
+        (2, "0", "slot must be an integer from 0 to 1, got '0'"),
+        (3, 0, "tensor arity mismatch: 3 vs 2"),
+    ])
+    def test_slot_operations_reject_a_bad_slot_or_arity(self, op, arity, slot, message):
+        element = tensor(*[M([1]) + 1] * arity)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            op(element, slot)
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_tensor_takes_two_or_three_factors(self, count):
+        with pytest.raises(ValueError, match=f"^tensor arity must be 2 or 3, got {count}$"):
+            tensor(*[M([1])] * count)
+
 
 def summed(pairs):
     """Add up (key, coefficient) pairs into a dict, zero sums included."""
@@ -568,6 +589,16 @@ WRAPPED = {
         lambda f, g, t, p: f,
     ),
 }
+
+# The slot forms, against the summed routes of the first and second forms above.
+WRAPPED.update({
+    f"{op.__name__}_{slot}": (
+        lambda f, g, t, p, op=op, slot=slot: op(t, slot),
+        WRAPPED[f"{op.__name__.removesuffix('_at')}_{ordinal}"][1],
+    )
+    for slot, ordinal in enumerate(["first", "second"])
+    for op in (coproduct_at, counit_at)
+})
 
 # Zero coefficients are drawn on purpose: the public constructors drop them
 # before any wrapped operation sees the element.

@@ -12,6 +12,7 @@ from qsym.compositions import (
     lyndon_count,
     mobius,
 )
+from qsym.expansion import lyndon_monomial_multisets, verify_lyndon_free_generation
 from reference_impls import coarsenings_by_merging, is_lyndon_by_rotation
 
 
@@ -25,7 +26,7 @@ def all_compositions(max_weight):
 class TestConstruction:
     def test_parts_and_weight(self):
         c = Composition([3, 1, 4])
-        assert c.parts == (3, 1, 4)
+        assert c == (3, 1, 4)
         assert c.weight == 8
         assert len(c) == 3
         assert list(c) == [3, 1, 4]
@@ -33,7 +34,7 @@ class TestConstruction:
 
     def test_empty(self):
         c = Composition()
-        assert c.parts == ()
+        assert c == ()
         assert c.weight == 0
         assert len(c) == 0
 
@@ -92,7 +93,7 @@ class TestLexOrder:
         comps = all_compositions(5)
         for a in comps:
             for b in comps:
-                expected = (a.parts > b.parts) - (a.parts < b.parts)
+                expected = (tuple(a) > tuple(b)) - (tuple(a) < tuple(b))
                 assert compare_lex(a, b) == expected
 
     def test_prefix_is_smaller(self):
@@ -127,7 +128,7 @@ class TestCoarsenings:
 
     def test_matches_adjacent_merging(self):
         for comp in all_compositions(7):
-            assert {c.parts for c in comp.coarsenings()} == coarsenings_by_merging(comp.parts)
+            assert {tuple(c) for c in comp.coarsenings()} == coarsenings_by_merging(tuple(comp))
 
     def test_weight_preserved(self):
         for comp in all_compositions(6):
@@ -144,7 +145,7 @@ class TestCoarsenings:
         assert coarser == sorted(coarsenings_by_merging(tuple(parts)))
 
     def test_example(self):
-        coarser = {c.parts for c in Composition([1, 2, 1]).coarsenings()}
+        coarser = {tuple(c) for c in Composition([1, 2, 1]).coarsenings()}
         assert coarser == {(1, 2, 1), (3, 1), (1, 3), (4,)}
 
 
@@ -162,7 +163,7 @@ class TestEnumeration:
             assert all(c.weight == n for c in comps)
 
     def test_weight_four(self):
-        assert [c.parts for c in enumerate_compositions(4)] == [
+        assert [tuple(c) for c in enumerate_compositions(4)] == [
             (1, 1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3),
             (2, 1, 1), (2, 2), (3, 1), (4,),
         ]
@@ -176,7 +177,7 @@ class TestLyndon:
     def test_agrees_with_rotation_oracle(self):
         for comp in all_compositions(8):
             if len(comp):
-                assert comp.is_lyndon() == is_lyndon_by_rotation(comp.parts)
+                assert comp.is_lyndon() == is_lyndon_by_rotation(tuple(comp))
 
     def test_empty_is_not_lyndon(self):
         assert not Composition().is_lyndon()
@@ -196,7 +197,7 @@ class TestLyndon:
             assert all(c.is_lyndon() and c.weight == n for c in listed)
 
     def test_weight_four_list(self):
-        assert [c.parts for c in enumerate_lyndon(4)] == [(1, 1, 2), (1, 3), (4,)]
+        assert [tuple(c) for c in enumerate_lyndon(4)] == [(1, 1, 2), (1, 3), (4,)]
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
@@ -226,3 +227,28 @@ class TestMobiusAndCounts:
         for n in range(1, 17):
             total = sum(d * lyndon_count(d) for d in range(1, n + 1) if n % d == 0)
             assert total == 2**n - 1
+
+
+# Each takes a count: an int, not a bool and not a float, even an integral one.
+COUNT_TAKERS = {
+    enumerate_compositions: ("weight", "nonnegative", -1),
+    enumerate_lyndon: ("weight", "positive", 0),
+    lyndon_count: ("weight", "positive", 0),
+    mobius: ("argument", "positive", 0),
+    lyndon_monomial_multisets: ("weight", "nonnegative", -1),
+    verify_lyndon_free_generation: ("weight", "positive", 0),
+}
+
+
+@pytest.mark.parametrize("fn", COUNT_TAKERS, ids=lambda fn: fn.__name__)
+class TestCountChecks:
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5])
+    def test_rejects_a_bool_or_a_float(self, fn, value):
+        what = COUNT_TAKERS[fn][0]
+        with pytest.raises(ValueError, match=rf"^{what} must be an integer, got {value!r}$"):
+            fn(value)
+
+    def test_rejects_a_count_out_of_range(self, fn):
+        what, sign, value = COUNT_TAKERS[fn]
+        with pytest.raises(ValueError, match=rf"^{what} must be {sign}, got {value}$"):
+            fn(value)

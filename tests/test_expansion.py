@@ -388,7 +388,7 @@ class TestLyndonGeneration:
         assert lyndon_monomial_multisets(0) == [()]
 
     def test_weight_three_multisets(self):
-        found = {tuple(c.parts for c in ms) for ms in lyndon_monomial_multisets(3)}
+        found = {tuple(tuple(c) for c in ms) for ms in lyndon_monomial_multisets(3)}
         assert found == {
             ((1,), (1,), (1,)),
             ((1,), (2,)),

@@ -1,9 +1,13 @@
 """tools/output_digest.py runs on a small slice and prints one stable digest."""
 
+import argparse
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from qsym import cli
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
@@ -34,3 +38,21 @@ def test_digest_of_a_larger_slice_is_pinned():
     assert _digest("--session-calls", "300", "--max-degree", "4") == (
         "1b7e43e0df8af1b4bcc72286ba633be9c7355610049b314c97410deaa6671fdb", 976
     )
+
+
+def _subcommands(parser):
+    """The subparsers of ``parser`` by name, in help order; none if it has none."""
+    actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return actions[0].choices if actions else {}
+
+
+def test_digest_asks_every_command_and_action_for_help(monkeypatch):
+    # A command added to the CLI must join the digest's --help calls.
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the tool prepends src and bench
+    spec = importlib.util.spec_from_file_location("_output_digest", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    known = []
+    for name, parser in _subcommands(cli._build_parser()).items():
+        known += [name, *(f"{name} {action}" for action in _subcommands(parser))]
+    assert tool.SUBCOMMANDS == tuple(known)
