@@ -122,7 +122,8 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
             acc.update({(ab,) + k: c for k, c in below[j + 1].items()})
             row[j] = acc
         below = row
-    return tuple([(_composition(k), c) for k, c in below[0].items()])
+    top = below[0]
+    return tuple(zip(map(_composition, top), top.values()))
 
 
 # The composition and the multiplicity of a quasi-shuffle term.
@@ -191,9 +192,13 @@ class _Sparse:
             raise ValueError(f"{self._SHAPE_NAME} mismatch: {self._shape} vs {other._shape}")
 
     def terms(self) -> Iterator[tuple]:
-        """Terms in the canonical order of the type."""
-        for key in self._order(self._terms):
-            yield key, self._terms[key]
+        """Terms in the canonical order of the type, as ``(key, coefficient)``.
+
+        The order is computed when ``terms()`` is called, and each call
+        returns a fresh iterator over it.
+        """
+        order = self._order(self._terms)
+        return zip(order, map(self._terms.__getitem__, order))
 
     def is_zero(self) -> bool:
         return not self._terms

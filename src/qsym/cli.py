@@ -17,7 +17,8 @@ built once, on the first call, and reused.  The kernel caches behind it are
 bounded, so a long-lived caller's memory stays bounded: the memos of
 ``algebra._quasi_shuffle`` and ``expansion._basis_expansion`` keep at most
 2**18 terms each and no result over 512 terms, and
-``expansion._face_selectors`` keeps at most 4,096 entries.
+``expansion._face_selectors`` and the printers' part-text table
+(``syntax._PartText``, parts below 4096 only) keep at most 4,096 entries each.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _cmd_verify(args) -> int:
             for check in checks:
                 print(f"  {'ok' if check.passed else 'FAIL'} {check.name}: {check.detail}")
     if args.format == "json":
-        print(json.dumps(report))
+        print(json.dumps(report, check_circular=False))
     else:
         print(f"{sum(verdicts)}/{len(verdicts)} checks passed")
     return 0 if all(verdicts) else 1
@@ -183,7 +184,7 @@ def run(argv: list[str]) -> int:
             return _cmd_verify(args)
         value = _COMMANDS[args.command][2](args)
         rendered = _RENDERERS[type(value), args.format](value)
-        print(json.dumps(rendered) if args.format == "json" else rendered)
+        print(json.dumps(rendered, check_circular=False) if args.format == "json" else rendered)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ reversal, coarsening, Lyndon testing, enumeration, and counting.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 
@@ -88,13 +89,10 @@ class Composition(tuple):
         return [(_composition(self[:k]), _composition(self[k:])) for k in range(len(self) + 1)]
 
 
-def _composition(parts: Iterable[int]) -> Composition:
-    """A composition from parts already known to be positive integers.
-
-    Skips the validation of :class:`Composition`; for keys built inside the
-    package from valid compositions.
-    """
-    return tuple.__new__(Composition, parts)
+# A composition from parts already known to be positive integers.  Skips the
+# validation of :class:`Composition`; for keys built inside the package from
+# valid compositions.
+_composition = partial(tuple.__new__, Composition)
 
 
 def compare_lex(left: Composition, right: Composition) -> int:

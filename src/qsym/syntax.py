@@ -275,8 +275,21 @@ def _power(base: str, exponent: int, style: _Style) -> str:
     return base if exponent == 1 else style.power.format(base, exponent)
 
 
+class _PartText(dict):
+    """``str(part)`` by composition part: one C-level hit; keeps parts below 4096 only."""
+
+    def __missing__(self, part: int) -> str:
+        text = str(part)
+        if part < 4096:
+            self[part] = text
+        return text
+
+
+_part_text = _PartText().__getitem__
+
+
 def _composition(comp: Composition, style: _Style) -> str:
-    return style.open + ",".join(map(str, comp)) + style.close
+    return style.open + ",".join(map(_part_text, comp)) + style.close
 
 
 def _qsym_parts(element: QSymElement, style: _Style) -> list[str]:

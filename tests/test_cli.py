@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from qsym import algebra, cli, expansion
+from qsym import algebra, cli, expansion, syntax
+from qsym.algebra import monomial
 from qsym.cli import run
+from qsym.compositions import Composition
+from reference_impls import surjection_product
 
 
 def invoke(capsys, *argv):
@@ -509,6 +512,71 @@ class TestLongLivedProcess:
     )
     def test_kernel_caches_are_bounded(self, kernel):
         assert kernel.cache_info().maxsize is not None
+
+    def test_part_text_table_is_bounded(self, capsys):
+        table = syntax._part_text.__self__
+        for part in (4095, 4096, 10**30):
+            for fmt, expected in (("text", f"[{part}]"), ("latex", f"M_{{({part})}}")):
+                assert invoke(capsys, "mul", f"[{part}]", "1", "--format", fmt) == (
+                    0, expected + "\n", ""
+                )
+        parts = Composition(range(1, 10_001))
+        assert syntax.format_composition(parts) == "[" + ",".join(map(str, parts)) + "]"
+        assert syntax.latex_composition(parts) == "M_{(" + ",".join(map(str, parts)) + ")}"
+        assert 0 < len(table) <= 4096
+        assert all(type(part) is int and part < 4096 for part in table)
+        assert table[4095] == "4095" and 4096 not in table
+
+
+class TestLargeProductOutput:
+    """A 1,433-term product printed against a rendering built here from plain
+    ``str``, ``json.dumps`` and the weight-then-lex order, with the terms taken
+    from the surjection formula rather than the kernel."""
+
+    LEFT, RIGHT = (3, 1, 4, 1, 5), (2, 7, 1, 8, 2)
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        coefficients = {k: -c for k, c in surjection_product(self.LEFT, self.RIGHT).items()}
+        assert len(coefficients) > 1000 and min(coefficients.values()) < -1
+        keys = sorted(coefficients, key=lambda c: (sum(c), c))
+        return [(key, coefficients[key]) for key in keys]
+
+    @staticmethod
+    def _signed(terms, open_, close, times):
+        parts = [
+            ("" if c == -1 else f"{-c}{times}") + open_ + ",".join(str(p) for p in key) + close
+            for key, c in terms
+        ]
+        return "-" + " - ".join(parts)  # every coefficient is negative
+
+    def _run(self, capsys, fmt):
+        left, right = (f"[{','.join(map(str, c))}]" for c in (self.LEFT, self.RIGHT))
+        code, out, err = invoke(capsys, "mul", "--format", fmt, "--", left, "-" + right)
+        assert (code, err) == (0, "")
+        return out
+
+    def test_text(self, capsys, reference):
+        assert self._run(capsys, "text") == self._signed(reference, "[", "]", "*") + "\n"
+
+    def test_latex(self, capsys, reference):
+        assert self._run(capsys, "latex") == self._signed(reference, "M_{(", ")}", "") + "\n"
+
+    def test_json(self, capsys, reference):
+        expected = [{"composition": list(k), "coefficient": c} for k, c in reference]
+        assert self._run(capsys, "json") == json.dumps(expected) + "\n"
+
+    def test_keys_are_compositions_and_terms_iterate_afresh(self, reference):
+        algebra._quasi_shuffle.cache_clear()
+        product = monomial(self.LEFT) * -monomial(self.RIGHT)
+        assert all(type(k) is Composition for k, _ in algebra._quasi_shuffle(self.LEFT, self.RIGHT))
+        assert all(type(k) is Composition for k in product._terms)
+        first, second = product.terms(), product.terms()
+        assert next(first) == reference[0]
+        assert list(second) == reference
+        assert list(first) == reference[1:]
+        assert list(first) == list(second) == []
+        assert list(product.terms()) == reference
 
 
 @pytest.mark.parametrize(

@@ -24,19 +24,19 @@ def _digest(*args):
 
 def test_digest_of_a_small_slice_is_stable():
     # 2 default verify calls, 6 suites x 2 formats, 3 streams x 4 session
-    # calls, 62 fixed calls
+    # calls, 68 fixed calls
     first = _digest("--session-calls", "4", "--max-degree", "2")
-    assert first[1] == 2 + 12 + 12 + 62
+    assert first[1] == 2 + 12 + 12 + 68
     assert _digest("--session-calls", "4", "--max-degree", "2") == first
     assert _digest("--session-calls", "5", "--max-degree", "2")[0] != first[0]
 
 
 def test_digest_of_a_larger_slice_is_pinned():
-    # The CLI's text, JSON and LaTeX bytes on 976 calls, including the first
+    # The CLI's text, JSON and LaTeX bytes on 982 calls, including the first
     # 300 calls of each session stream; a change to any printed byte or to
     # the canonical term order moves it.
     assert _digest("--session-calls", "300", "--max-degree", "4") == (
-        "1b7e43e0df8af1b4bcc72286ba633be9c7355610049b314c97410deaa6671fdb", 976
+        "72f52e99feada532cafdbd830ef3488d036fd2b1c599a942fdd59a91dc425f31", 982
     )
 
 

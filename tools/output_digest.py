@@ -14,9 +14,11 @@ The calls, all made in one process through :func:`qsym.cli.run`:
 - the first ``--session-calls`` calls (default 1,500) of the benchmark's
   session streams for seeds 1, 2 and 3;
 - a fixed list of calls (``FIXED_CALLS``): malformed ``qsym`` and ``beta``
-  operands, ``lyndon count|list`` in every format, out-of-range counts, and
-  ``--help`` of the program and of each subcommand.  Help is wrapped at ``COLUMNS=80`` so that it does
-  not depend on the terminal.
+  operands, ``lyndon count|list`` in every format, out-of-range counts, a
+  product and a coproduct with parts at and past the printers' 4096 part-text
+  bound in every format, and ``--help`` of the program and of each
+  subcommand.  Help is wrapped at ``COLUMNS=80`` so that it does not depend
+  on the terminal.
 
 Each call contributes its argv, exit code, stdout and stderr to the digest.
 ``--max-degree`` caps every verify bound, for a quick run; the full digest
@@ -70,6 +72,10 @@ FIXED_CALLS = [
     ["truncate", "[1]", "--", "-1"],
     ["psi", "[1]", "1", "--", "-1"],
     ["stratum", "--", "-1"],
+    # Parts on both sides of the printers' 4096 part-text bound, and one of 31 digits.
+    *([*call, "--format", fmt]
+      for call in (["mul", "[4095,1]", "[4096]"], ["coproduct", f"[4095,{10**30}]"])
+      for fmt in ("text", "json", "latex")),
     ["--help"],
     *([*command.split(), "--help"] for command in SUBCOMMANDS),
 ]
