@@ -378,6 +378,8 @@ class QSymElement(_Sparse):
 
     def homogeneous_part(self, d: int) -> "QSymElement":
         """The sum of terms of weight exactly ``d``."""
+        if not _is_int(d):
+            raise ValueError(f"weight must be an integer, got {d!r}")
         return self._wrap({c: v for c, v in self._terms.items() if c.weight == d})
 
 

@@ -136,6 +136,8 @@ class BetaElement(_Sparse):
         return cls({0: element})
 
     def coefficient(self, power: int) -> QSymElement:
+        if not _is_int(power):
+            raise ValueError(f"beta power must be an integer, got {power!r}")
         return self._terms.get(power, QSymElement.zero())
 
     def beta_degree(self) -> int:

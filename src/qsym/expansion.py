@@ -10,13 +10,15 @@ Also here: recognising quasisymmetric polynomials, reading them back into the
 basis, variable-killing face maps, and the certificate that products of
 Lyndon-indexed basis elements span each graded piece.  The certificate checks
 that the leading terms of those products are the predicted, pairwise distinct
-concatenations, which makes their matrix triangular; only when that fails
-does it compute the rank by exact ``Fraction`` elimination.  That fallback
-and :func:`rational_rank` are the only uses of ``Fraction``.
+concatenations, which makes their matrix triangular.  It reads each leading
+term from the lex-largest shuffle of the factors, without building the
+product; only when the check fails does it compute the rank by exact
+``Fraction`` elimination, the only use of ``Fraction``.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -334,24 +336,38 @@ def _lyndon_monomials(multisets: list[tuple[Composition, ...]]) -> Iterator[QSym
         yield stack[-1][1]
 
 
-def _leading_terms_triangular(multisets: list[tuple[Composition, ...]]) -> bool:
-    """Whether the Lyndon monomials have distinct, predicted leading terms.
+def _shuffle_lead(state: tuple[tuple[int, ...], ...], memo: dict) -> tuple[tuple[int, ...], int]:
+    """The lex-largest shuffle of the sorted nonempty int tuples in ``state``,
+    and how many interleavings of them, equal words counted apart, give it."""
+    if not state:
+        return (), 1
+    found = memo.get(state)
+    if found is None:
+        head, best, count = state[-1][0], (), 0  # sorted: the largest head is last
+        for word in {word for word in state if word[0] == head}:
+            rest = list(state)
+            rest.remove(word)
+            if len(word) > 1:
+                insort(rest, word[1:])
+            tail, times = _shuffle_lead(tuple(rest), memo)
+            if tail > best:
+                best, count = tail, 0
+            if tail == best:
+                count += state.count(word) * times
+        found = memo[state] = ((head, *best), count)
+    return found
 
-    Under the (length, lexicographic) order, the product of Lyndon-indexed
-    basis elements l1 >= ... >= lk should lead with the concatenation
-    l1...lk, with coefficient the product of the factorials of the
-    multiplicities.  When every product does so and no two leading terms
-    coincide, the rows are triangular after sorting by leading term, so
-    their rank is exactly their number.
-    """
+
+def _leading_terms_triangular(multisets: list[tuple[Composition, ...]]) -> bool:
+    """Whether the Lyndon monomials have distinct, predicted leading terms."""
+    memo: dict = {}  # lives for this call, shared by one weight's multisets
     leads: set[tuple[int, ...]] = set()
-    for multiset, product in zip(multisets, _lyndon_monomials(multisets)):
-        terms = product._terms
-        _, lead = max(zip(map(len, terms), terms))  # (length, lex) order
+    for multiset in multisets:
+        lead, coeff = _shuffle_lead(tuple(sorted(map(tuple, multiset))), memo)
         concatenation = tuple(part for comp in sorted(multiset, reverse=True) for part in comp)
         if (
             lead != concatenation
-            or terms[lead] != prod(map(factorial, Counter(multiset).values()))
+            or coeff != prod(map(factorial, Counter(multiset).values()))
             or lead in leads
         ):
             return False
@@ -365,14 +381,18 @@ def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
     Returns ``(dimension, multiset_count, rank)``: the dimension of the
     graded piece, the number of Lyndon monomials of that weight, and the
     exact rank of the matrix expressing those monomials in the basis.  Free
-    polynomial generation at this weight holds exactly when all three agree.
+    polynomial generation at this weight holds exactly when all three agree,
+    as theory says (Radford, J. Algebra 58, 1979; Hoffman, J. Algebraic
+    Combin. 11, 2000).
 
-    The rank comes from a leading-term certificate: each monomial, with its
-    factors in decreasing order, must lead with their concatenation and with
-    the product of the factorials of the multiplicities as coefficient, and
-    no two monomials may share a leading term.  Then the matrix is
-    triangular and its rank is the number of monomials.  If any of this
-    fails, the rank is computed exactly by :func:`rational_rank` on
+    The rank comes from a leading-term certificate.  Each monomial, factors
+    in decreasing order, must lead under the (length, lex) order with their
+    concatenation, with the product of the factorials of the multiplicities
+    as coefficient, and no two may share a leading term (Chen, Fox and
+    Lyndon, Ann. of Math. 68, 1958).  Then the matrix is triangular.  A
+    merge shortens a word, so a product's longest terms are the shuffles of
+    its factors, none cancelling: the lead is the lex-largest shuffle, and
+    no product is built.  If any of this fails, :func:`rational_rank` ranks
     :func:`lyndon_generation_matrix`, the only path that uses ``Fraction``.
     """
     _check_count(weight, "weight", positive=True)

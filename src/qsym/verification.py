@@ -339,10 +339,11 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
 def lyndon_free_checks(max_degree: int = 6) -> list[Check]:
     """Products of Lyndon-indexed elements as rational graded bases.
 
-    Each weight is certified by the leading terms of the products, which
-    must be distinct concatenations of the factors in decreasing order;
-    the rank falls back to exact ``Fraction`` elimination only if they are
-    not.  See :func:`qsym.expansion.verify_lyndon_free_generation`.
+    Each weight is certified by the leading terms of the products, read from
+    the longest shuffle terms with no product built: they must be distinct
+    concatenations of the factors in decreasing order (Radford 1979, Hoffman
+    2000, Chen-Fox-Lyndon 1958), or the rank falls back to exact ``Fraction``
+    elimination.  See :func:`qsym.expansion.verify_lyndon_free_generation`.
     """
     checks: list[Check] = []
     for weight in range(1, max_degree + 1):

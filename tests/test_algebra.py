@@ -80,6 +80,11 @@ class TestElementBasics:
         total = sum((f.homogeneous_part(d) for d in range(f.degree() + 1)), QSymElement.zero())
         assert total == f
 
+    @pytest.mark.parametrize("bad", [True, "2", 2.0, None])
+    def test_homogeneous_part_rejects_non_int_weights(self, bad):
+        with pytest.raises(ValueError, match=rf"^weight must be an integer, got {re.escape(repr(bad))}$"):
+            M([1]).homogeneous_part(bad)
+
     def test_is_homogeneous(self):
         assert (M([2]) + M([1, 1])).is_homogeneous()
         assert not (M([1]) + M([2])).is_homogeneous()

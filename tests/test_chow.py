@@ -157,6 +157,13 @@ class TestBetaElement:
         x = BetaElement({1: M([2])})
         assert x.coefficient(1) == M([2])
         assert x.coefficient(0).is_zero()
+        assert x.coefficient(-1).is_zero()
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "1"])
+    def test_coefficient_rejects_non_int_powers(self, bad):
+        x = BetaElement({1: M([2])})
+        with pytest.raises(ValueError, match=rf"^beta power must be an integer, got {re.escape(repr(bad))}$"):
+            x.coefficient(bad)
 
 
 class TestMarkedPointInvolution:

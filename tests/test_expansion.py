@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsym.expansion
+from qsym import algebra
 from qsym.algebra import QSymElement, monomial
 from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import (
     SparsePolynomial,
     _basis_expansion,
+    _lyndon_monomials,
+    _shuffle_lead,
     expand,
     face_map,
     from_polynomial,
@@ -24,7 +27,7 @@ from qsym.expansion import (
     verify_lyndon_free_generation,
     zero_insertion_holds,
 )
-from reference_impls import face_map_by_substitution, polynomial_product
+from reference_impls import face_map_by_substitution, polynomial_product, surjection_product
 
 M = monomial
 
@@ -434,6 +437,45 @@ class TestLyndonGeneration:
                 factors = sorted(multiset, reverse=True)
                 assert lead == tuple(part for comp in factors for part in comp)
                 assert coeff == prod(factorial(m) for m in Counter(multiset).values())
+
+    def test_shuffle_leads_match_full_products_through_weight_ten(self):
+        # the full-product route: build each Lyndon monomial and read its
+        # (length, lex) leading term
+        for weight in range(1, 11):
+            multisets = lyndon_monomial_multisets(weight)
+            memo = {}
+            for multiset, product in zip(multisets, _lyndon_monomials(multisets)):
+                terms = product._terms
+                _, lead = max(zip(map(len, terms), terms))
+                state = tuple(sorted(map(tuple, multiset)))
+                assert _shuffle_lead(state, memo) == (tuple(lead), terms[lead]), multiset
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple), min_size=1, max_size=3)
+        .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        .filter(lambda words: sum(map(len, words)) <= 8)
+    )
+    def test_shuffle_lead_is_the_top_term_of_the_surjection_product(self, words):
+        # any words, repeats and non-Lyndon words included; a term of a
+        # product is no longer than its factors together, so the fold keeps
+        # only full-length terms, which is all the top term can come from
+        product = {(): 1}
+        for word in words:
+            folded = {}
+            for term, coeff in product.items():
+                for key, count in surjection_product(term, word).items():
+                    if len(key) == len(term) + len(word):
+                        folded[key] = folded.get(key, 0) + coeff * count
+            product = folded
+        lead = max(product)
+        assert _shuffle_lead(tuple(sorted(words)), {}) == (lead, product[lead])
+
+    def test_certificate_leaves_the_kernel_memo_alone(self):
+        for weight in range(1, 11):
+            before = algebra._quasi_shuffle.cache_info()
+            verify_lyndon_free_generation(weight)
+            assert algebra._quasi_shuffle.cache_info() == before, weight
 
     def test_repeated_multiset_falls_back_to_exact_rank(self, monkeypatch):
         original = lyndon_monomial_multisets
