@@ -10,11 +10,13 @@ involution that swaps the roles of the two marked points upstairs.
 
 from __future__ import annotations
 
+from itertools import product
 from operator import le
 from typing import Iterable, Mapping
 
 from .algebra import QSymElement, TensorElement, _Sparse
-from .compositions import Composition, _check_count, _is_int
+from .compositions import _check_count, _is_int
+from .expansion import _basis_expansion, expand
 
 
 def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorElement:
@@ -52,24 +54,24 @@ def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:
 
 
 def gluing_matches_coproduct(element: QSymElement) -> bool:
-    """Whether the gluing pullbacks jointly recover the coproduct.
+    """Whether the gluing pullbacks agree with the coproduct as polynomials.
 
-    For each way of splitting the total weight ``d`` as ``n1 + n2``, the
-    pullback into ``n1`` and ``n2`` variables must equal the coproduct
-    truncated the same way; and together those truncations must cover every
-    coproduct term.  This is the finite-level shadow of the statement that
-    gluing induces the comultiplication on the limit ring.
+    For each split of the total weight ``d`` as ``n1 + n2``, the expansion in
+    ``d`` ordered variables must be the sum, over the pullback's terms
+    ``p (x) s``, of ``p`` expanded in the first ``n1`` variables times ``s`` in
+    the last ``n2``; no two terms of that sum meet.  Expansion shares no code
+    with the coproduct, so a wrong, missing or extra term that fits fails.
     """
-    full = element.coproduct()
     d = element.degree()
-    seen: set[tuple[Composition, ...]] = set()
-    for n1 in range(d + 1):
-        n2 = d - n1
-        truncated = truncate_tensor(full, (n1, n2))
-        if gluing_pullback(element, n1, n2) != truncated:
-            return False
-        seen.update(truncated._terms)
-    return seen == full._terms.keys()
+    full = expand(element, d)._terms
+    return all(
+        full == {
+            left + right: coeff
+            for (p, s), coeff in gluing_pullback(element, n1, d - n1)._terms.items()
+            for left, right in product(_basis_expansion(p, n1), _basis_expansion(s, d - n1))
+        }
+        for n1 in range(d + 1)
+    )
 
 
 def deep_stratum_class(d: int) -> QSymElement:

@@ -11,6 +11,8 @@ entry holds a command's help text, its positional arguments and the value it
 prints, and one loop builds the parsers from it.  Two commands differ:
 ``lyndon`` has no description and hands its arguments to its two actions,
 and ``verify``, which prints its own report, is built by hand after the loop.
+``_RENDERERS`` maps (value type, format) to a printer; its element entries are
+built from the :mod:`qsym.syntax` names ``{format,json,latex}_{kind}``.
 
 :func:`run` may be called many times in one process.  The argument parser is
 built once, on the first call, and reused.  The kernel caches behind it are
@@ -29,28 +31,12 @@ import sys
 from dataclasses import asdict
 from functools import cache
 
+from . import syntax
 from .algebra import QSymElement, TensorElement
 from .chow import BetaElement, deep_stratum_class, gluing_pullback, marked_point_involution
-from .compositions import Composition, enumerate_lyndon, lyndon_count
+from .compositions import enumerate_lyndon, lyndon_count
 from .expansion import SparsePolynomial, expand
-from .syntax import (
-    format_beta,
-    format_composition,
-    format_polynomial,
-    format_qsym,
-    format_tensor,
-    json_beta,
-    json_polynomial,
-    json_qsym,
-    json_tensor,
-    latex_beta,
-    latex_composition,
-    latex_polynomial,
-    latex_qsym,
-    latex_tensor,
-    parse_beta,
-    parse_qsym,
-)
+from .syntax import parse_beta, parse_qsym
 from .verification import SUITES, run_suite
 
 
@@ -128,30 +114,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The values are the syntax functions themselves, or lambdas that look them up
-# at call time (a list of compositions prints one per line), so tracing that
-# patches module-level dict values and bindings (bench/tracing.py) reaches them.
+# The list renderers look the syntax printers up at call time, so tracing that
+# patches module bindings and dict values (bench/tracing.py) reaches them all.
 _RENDERERS = {
-    (QSymElement, "text"): format_qsym,
-    (QSymElement, "json"): json_qsym,
-    (QSymElement, "latex"): latex_qsym,
-    (TensorElement, "text"): format_tensor,
-    (TensorElement, "json"): json_tensor,
-    (TensorElement, "latex"): latex_tensor,
-    (BetaElement, "text"): format_beta,
-    (BetaElement, "json"): json_beta,
-    (BetaElement, "latex"): latex_beta,
-    (SparsePolynomial, "text"): format_polynomial,
-    (SparsePolynomial, "json"): json_polynomial,
-    (SparsePolynomial, "latex"): latex_polynomial,
-    (Composition, "text"): format_composition,
-    (Composition, "latex"): latex_composition,
+    **{
+        (cls, fmt): getattr(syntax, f"{prefix}_{kind}")
+        for cls, kind in ((QSymElement, "qsym"), (TensorElement, "tensor"),
+                          (BetaElement, "beta"), (SparsePolynomial, "polynomial"))
+        for fmt, prefix in (("text", "format"), ("json", "json"), ("latex", "latex"))
+    },
     (int, "text"): str,
     (int, "json"): int,
     (int, "latex"): str,
-    (list, "text"): lambda comps: "\n".join(map(format_composition, comps)),
+    (list, "text"): lambda comps: "\n".join(map(syntax.format_composition, comps)),
     (list, "json"): lambda comps: [list(c) for c in comps],
-    (list, "latex"): lambda comps: "\n".join(map(latex_composition, comps)),
+    (list, "latex"): lambda comps: "\n".join(map(syntax.latex_composition, comps)),
 }
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, prod
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .algebra import QSymElement, _Memo, _Sparse
 from .compositions import (
@@ -239,6 +239,9 @@ def zero_insertion_holds(element: QSymElement, num_vars: int, slot: int) -> bool
     expansion to kill.  This compatibility is what makes the finite-variable
     expansions cohere into a single limit object.
     """
+    _check_count(num_vars, "variable count")
+    if not _is_int(slot):
+        raise ValueError(f"slot must be an integer, got {slot!r}")
     if not 1 <= slot <= num_vars + 1:
         raise ValueError(f"slot {slot} out of range for {num_vars + 1} variables")
     survivors = tuple(p for p in range(1, num_vars + 2) if p != slot)
@@ -305,35 +308,12 @@ def lyndon_monomial_multisets(weight: int) -> list[tuple[Composition, ...]]:
 def lyndon_generation_matrix(weight: int) -> list[list[Fraction]]:
     """Rows: products over each Lyndon multiset of weight ``weight``;
     columns: compositions of that weight, in lexicographic order."""
-    columns = {comp: i for i, comp in enumerate(enumerate_compositions(weight))}
+    columns = enumerate_compositions(weight)
     rows: list[list[Fraction]] = []
-    for product in _lyndon_monomials(lyndon_monomial_multisets(weight)):
-        row = [Fraction(0)] * len(columns)
-        for comp, coeff in product.terms():
-            row[columns[comp]] = Fraction(coeff)
-        rows.append(row)
+    for multiset in lyndon_monomial_multisets(weight):
+        terms = prod(map(QSymElement.monomial, multiset), start=QSymElement.one())._terms
+        rows.append([Fraction(terms.get(comp, 0)) for comp in columns])
     return rows
-
-
-def _lyndon_monomials(multisets: list[tuple[Composition, ...]]) -> Iterator[QSymElement]:
-    """The product of the basis elements indexed by each multiset, in turn.
-
-    Factors are multiplied in the order listed, and the products of the
-    leading factors a multiset shares with the one before it are reused.
-    """
-    stack = [((), QSymElement.one())]  # (factor, product through it) per prefix
-    for multiset in multisets:
-        shared = 0
-        while (
-            shared + 1 < len(stack)
-            and shared < len(multiset)
-            and stack[shared + 1][0] == multiset[shared]
-        ):
-            shared += 1
-        del stack[shared + 1 :]
-        for comp in multiset[shared:]:
-            stack.append((comp, stack[-1][1] * QSymElement.monomial(comp)))
-        yield stack[-1][1]
 
 
 def _shuffle_lead(state: tuple[tuple[int, ...], ...], memo: dict) -> tuple[tuple[int, ...], int]:

@@ -12,6 +12,7 @@ counts the rest ("failed at ([], [1]) and 7 more").
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
@@ -373,13 +374,8 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
     "lyndon-free": lyndon_free_checks,
 }
 
-DEFAULT_DEGREES: dict[str, int] = {
-    "hopf": 6,
-    "oracle": 7,
-    "limit": 5,
-    "mu": 6,
-    "tau": 5,
-    "lyndon-free": 6,
+DEFAULT_DEGREES: dict[str, int] = {  # each suite's default bound, from its signature
+    name: inspect.signature(suite).parameters["max_degree"].default for name, suite in SUITES.items()
 }
 
 

@@ -1,6 +1,7 @@
 """Gluing pullbacks, stratum classes, and the beta extension."""
 
 import re
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from qsym.chow import (
     truncate_tensor,
 )
 from qsym.compositions import Composition, enumerate_compositions
+from qsym.expansion import expand
 
 M = monomial
 
@@ -246,3 +248,25 @@ def test_values_equal_to_scalars_hash_like_them(n, q):
     ]:
         assert value == lower
         assert hash(value) == hash(lower)
+
+
+# The polynomial oracle (qsym.expansion) shares no code with the coproduct or
+# the index reversal, so these two identities test them from outside.
+@given(qsym_strategy, st.integers(0, 6))
+@settings(max_examples=100, deadline=None)
+def test_reversal_reverses_the_variables(f, n):
+    expected = {exps[::-1]: coeff for exps, coeff in expand(f, n).terms()}
+    assert dict(expand(f.reverse_indices(), n).terms()) == expected
+
+
+@given(qsym_strategy, st.integers(0, 5), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_gluing_splits_the_variables(f, n1, n2):
+    # M_c(x_1..x_n1, y_1..y_n2) is the sum over the pullback's terms p (x) s
+    # of M_p(x) * M_s(y)
+    glued = {}
+    for (p, s), coeff in gluing_pullback(f, n1, n2).terms():
+        for (left, a), (right, b) in product(expand(M(p), n1).terms(), expand(M(s), n2).terms()):
+            glued[left + right] = glued.get(left + right, 0) + coeff * a * b
+    assert {k: v for k, v in glued.items() if v} == dict(expand(f, n1 + n2).terms())
+    assert gluing_matches_coproduct(f)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qsym import algebra, cli, expansion, syntax
+from qsym import algebra, chow, cli, expansion, syntax
 from qsym.algebra import monomial
 from qsym.cli import run
 from qsym.compositions import Composition
@@ -148,6 +148,34 @@ class TestFormats:
         first = invoke(capsys, "mul", "[1,2]", "[2,1]")
         second = invoke(capsys, "mul", "[1,2]", "[2,1]")
         assert first == second
+
+
+class TestRendererTable:
+    # one call per command and Lyndon action, enough to see every value type
+    SAMPLES = [
+        ["mul", "[1]", "[1]"], ["coproduct", "[1]"], ["antipode", "[1]"], ["counit", "[1]"],
+        ["sigma", "[1]"], ["truncate", "[1]", "1"], ["expand", "[1]", "2"],
+        ["lyndon", "count", "3"], ["lyndon", "list", "3"], ["psi", "[1]", "1", "1"],
+        ["tau", "b"], ["stratum", "2"],
+    ]
+
+    def test_element_entries_are_the_syntax_functions_by_name(self):
+        kinds = [(algebra.QSymElement, "qsym"), (algebra.TensorElement, "tensor"),
+                 (chow.BetaElement, "beta"), (expansion.SparsePolynomial, "polynomial")]
+        for cls, kind in kinds:
+            for fmt, prefix in [("text", "format"), ("json", "json"), ("latex", "latex")]:
+                assert cli._RENDERERS[cls, fmt] is getattr(syntax, f"{prefix}_{kind}")
+
+    def test_no_composition_entry(self):
+        assert not [key for key in cli._RENDERERS if key[0] is Composition]
+
+    def test_every_command_value_has_a_renderer(self):
+        assert {argv[0] for argv in self.SAMPLES} == set(cli._COMMANDS)
+        for argv in self.SAMPLES:
+            args = cli._build_parser().parse_args(argv)
+            value = cli._COMMANDS[args.command][2](args)
+            for fmt in ("text", "json", "latex"):
+                assert (type(value), fmt) in cli._RENDERERS, (argv, fmt)
 
 
 # `qsym verify --max-degree 2`, byte for byte: the text report, then the same

@@ -1,5 +1,6 @@
 """Polynomial expansions, recognition, face maps, and the rank certificate."""
 
+import re
 from collections import Counter
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -15,7 +16,6 @@ from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import (
     SparsePolynomial,
     _basis_expansion,
-    _lyndon_monomials,
     _shuffle_lead,
     expand,
     face_map,
@@ -347,6 +347,21 @@ class TestZeroInsertion:
         with pytest.raises(ValueError):
             zero_insertion_holds(M([1]), 2, 4)
 
+    @pytest.mark.parametrize("num_vars, slot, message", [
+        (2.5, 1, "variable count must be an integer, got 2.5"),
+        ("2", 1, "variable count must be an integer, got '2'"),
+        (True, 1, "variable count must be an integer, got True"),
+        (-1, 1, "variable count must be nonnegative, got -1"),
+        (2, True, "slot must be an integer, got True"),
+        (2, 1.0, "slot must be an integer, got 1.0"),
+        (2, "1", "slot must be an integer, got '1'"),
+        (2, 0, "slot 0 out of range for 3 variables"),
+        (2, 4, "slot 4 out of range for 3 variables"),
+    ])
+    def test_bad_arguments_rejected(self, num_vars, slot, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            zero_insertion_holds(M([1]), num_vars, slot)
+
 
 class TestRationalRank:
     def test_identity(self):
@@ -442,10 +457,9 @@ class TestLyndonGeneration:
         # the full-product route: build each Lyndon monomial and read its
         # (length, lex) leading term
         for weight in range(1, 11):
-            multisets = lyndon_monomial_multisets(weight)
             memo = {}
-            for multiset, product in zip(multisets, _lyndon_monomials(multisets)):
-                terms = product._terms
+            for multiset in lyndon_monomial_multisets(weight):
+                terms = prod(map(M, multiset), start=QSymElement.one())._terms
                 _, lead = max(zip(map(len, terms), terms))
                 state = tuple(sorted(map(tuple, multiset)))
                 assert _shuffle_lead(state, memo) == (tuple(lead), terms[lead]), multiset

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from qsym import verification
-from qsym.algebra import QSymElement
+from qsym.algebra import QSymElement, TensorElement
 from qsym.expansion import SparsePolynomial
 from qsym.verification import DEFAULT_DEGREES, SUITES, Check, run_all, run_suite
 
@@ -154,6 +154,21 @@ def test_forced_failure_names_a_composition(monkeypatch):
     target = QSymElement.monomial([1, 2])
     _patch(monkeypatch, "gluing_matches_coproduct", lambda k: lambda f: f != target and k(f))
     assert _detail(verification.mu_checks(3), "gluing-coproduct") == "failed at [1,2]"
+
+
+def test_gluing_coproduct_fails_on_a_broken_coproduct(monkeypatch):
+    # drop every cut into two one-part halves: the pullback still agrees with
+    # the same broken coproduct, but not with the polynomial oracle
+    coproduct = QSymElement.coproduct
+
+    def broken(self):
+        delta = coproduct(self)
+        return TensorElement(2, {k: v for k, v in delta.terms() if list(map(len, k)) != [1, 1]})
+
+    monkeypatch.setattr(QSymElement, "coproduct", broken)
+    (check,) = [c for c in verification.mu_checks(5) if c.name == "gluing-coproduct"]
+    assert not check.passed
+    assert check.detail == "failed at [1,1] and 9 more"
 
 
 def test_bialgebra_counts_each_pair_once(monkeypatch):
