@@ -11,6 +11,7 @@ involution that swaps the roles of the two marked points upstairs.
 from __future__ import annotations
 
 from itertools import product
+from math import comb
 from operator import le
 from typing import Iterable, Mapping
 
@@ -60,14 +61,16 @@ def gluing_matches_coproduct(element: QSymElement) -> bool:
     ``d`` ordered variables must be the sum, over the pullback's terms
     ``p (x) s``, of ``p`` expanded in the first ``n1`` variables times ``s`` in
     the last ``n2``; no two terms of that sum meet.  Expansion shares no code
-    with the coproduct, so a wrong, missing or extra term that fits fails.
+    with the coproduct, so a wrong, missing or extra term that fits fails.  A
+    term with more than ``d`` parts in all fits no split, so it fails first.
     """
     d = element.degree()
+    delta = element.coproduct()
     full = expand(element, d)._terms
-    return all(
+    return all(len(p) + len(s) <= d for p, s in delta._terms) and all(
         full == {
             left + right: coeff
-            for (p, s), coeff in gluing_pullback(element, n1, d - n1)._terms.items()
+            for (p, s), coeff in truncate_tensor(delta, (n1, d - n1))._terms.items()
             for left, right in product(_basis_expansion(p, n1), _basis_expansion(s, d - n1))
         }
         for n1 in range(d + 1)
@@ -176,21 +179,18 @@ def marked_point_involution(element: BetaElement) -> BetaElement:
 
     Reverses the indexing composition of each coefficient and substitutes
     ``-beta + M_[1]`` for ``beta``.  It is a ring involution: applying it
-    twice is the identity, and it preserves total degree.
+    twice is the identity, and it preserves total degree.  A term
+    ``v * beta^k`` maps to ``v' * (M_[1] - beta)^k``, with ``v'`` the
+    reversal, which the binomial theorem expands as the sum over ``j`` of
+    ``(-1)^j * C(k, j) * v' * M_[1]^(k - j) * beta^j``.
     """
-    image_of_beta = BetaElement(
-        {1: QSymElement.from_int(-1), 0: QSymElement.monomial([1])}
-    )
+    step = QSymElement.monomial([1])
     acc: dict[int, QSymElement] = {}
-    image = BetaElement.one()  # image_of_beta ** power, one factor per step
-    for power in range(element.beta_degree() + 1):
-        if power:
-            image = image * image_of_beta
-        value = element._terms.get(power)
-        if value is None:
-            continue
-        value = value.reverse_indices()
-        for p, c in image._terms.items():
-            term = value * c
-            acc[p] = acc[p] + term if p in acc else term
+    for power, value in element._terms.items():
+        value = value.reverse_indices()  # v' * M_[1]^(power - j) at step j
+        for j in range(power, -1, -1):
+            term = value._scaled((-1) ** j * comb(power, j))
+            acc[j] = acc[j] + term if j in acc else term
+            if j:
+                value = value * step
     return BetaElement._new(acc)

@@ -13,7 +13,9 @@ that the leading terms of those products are the predicted, pairwise distinct
 concatenations, which makes their matrix triangular.  It reads each leading
 term from the lex-largest shuffle of the factors, without building the
 product; only when the check fails does it compute the rank by exact
-``Fraction`` elimination, the only use of ``Fraction``.
+``Fraction`` elimination, the only use of ``Fraction``.  The Lyndon
+multisets of every weight come from one table pass over the generators, so
+the ``lyndon-free`` suite enumerates each weight's generators once.
 """
 
 from __future__ import annotations
@@ -249,7 +251,11 @@ def zero_insertion_holds(element: QSymElement, num_vars: int, slot: int) -> bool
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of a matrix of Fractions, by exact Gaussian elimination."""
+    """Rank of a matrix of Fractions, by exact Gaussian elimination.
+
+    Arithmetic is exact, so any nonzero entry can be the pivot: the first
+    one at or below the current row is taken.
+    """
     matrix = [list(row) for row in rows]
     if not matrix:
         return 0
@@ -258,13 +264,7 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
         raise ValueError("rows have unequal lengths")
     rank = 0
     for col in range(num_cols):
-        pivot = None
-        best = Fraction(0)
-        for r in range(rank, len(matrix)):
-            value = abs(matrix[r][col])
-            if value > best:
-                best = value
-                pivot = r
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]), None)
         if pivot is None:
             continue
         matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
@@ -274,8 +274,6 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
                 factor = matrix[r][col] / lead
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[rank])]
         rank += 1
-        if rank == len(matrix):
-            break
     return rank
 
 
@@ -286,23 +284,22 @@ def lyndon_monomial_multisets(weight: int) -> list[tuple[Composition, ...]]:
     the order the generators are listed in: by weight, then lexicographic.
     """
     _check_count(weight, "weight")
-    generators = [g for w in range(1, weight + 1) for g in enumerate_lyndon(w)]
-    out: list[tuple[Composition, ...]] = []
+    return _lyndon_multiset_table([enumerate_lyndon(w) for w in range(1, weight + 1)])[weight]
 
-    def recurse(start: int, remaining: int, chosen: list[Composition]) -> None:
-        if remaining == 0:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, len(generators)):
-            g = generators[i]
-            if g.weight > remaining:
-                break  # generators are listed by weight first
-            chosen.append(g)
-            recurse(i, remaining - g.weight, chosen)
-            chosen.pop()
 
-    recurse(0, weight, [])
-    return out
+def _lyndon_multiset_table(generators: list[list[Composition]]) -> list[list[tuple[Composition, ...]]]:
+    """Entry ``v``: the Lyndon multisets of weight ``v``, for ``v`` from 0 to
+    ``len(generators)``, given the generators of weights 1, 2, ... in order.
+
+    Each generator ``g`` extends every multiset of weight ``v - g.weight``;
+    ``v`` rises, so ``g`` can repeat, and factors come in generator order.
+    """
+    top = len(generators)
+    by_weight: list[list[tuple[Composition, ...]]] = [[()]] + [[] for _ in range(top)]
+    for g in (g for listed in generators for g in listed):
+        for v in range(g.weight, top + 1):
+            by_weight[v].extend(m + (g,) for m in by_weight[v - g.weight])
+    return by_weight
 
 
 def lyndon_generation_matrix(weight: int) -> list[list[Fraction]]:
@@ -338,23 +335,6 @@ def _shuffle_lead(state: tuple[tuple[int, ...], ...], memo: dict) -> tuple[tuple
     return found
 
 
-def _leading_terms_triangular(multisets: list[tuple[Composition, ...]]) -> bool:
-    """Whether the Lyndon monomials have distinct, predicted leading terms."""
-    memo: dict = {}  # lives for this call, shared by one weight's multisets
-    leads: set[tuple[int, ...]] = set()
-    for multiset in multisets:
-        lead, coeff = _shuffle_lead(tuple(sorted(map(tuple, multiset))), memo)
-        concatenation = tuple(part for comp in sorted(multiset, reverse=True) for part in comp)
-        if (
-            lead != concatenation
-            or coeff != prod(map(factorial, Counter(multiset).values()))
-            or lead in leads
-        ):
-            return False
-        leads.add(lead)
-    return True
-
-
 def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
     """Certify that Lyndon monomials of one weight form a rational basis.
 
@@ -376,9 +356,23 @@ def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
     :func:`lyndon_generation_matrix`, the only path that uses ``Fraction``.
     """
     _check_count(weight, "weight", positive=True)
+    return _certify_lyndon_free(weight, lyndon_monomial_multisets(weight))
+
+
+def _certify_lyndon_free(weight: int, multisets: list[tuple[Composition, ...]]) -> tuple[int, int, int]:
+    """:func:`verify_lyndon_free_generation` on the given Lyndon multisets."""
     dimension = 2 ** (weight - 1)
-    multisets = lyndon_monomial_multisets(weight)
-    if _leading_terms_triangular(multisets):
-        return dimension, len(multisets), len(multisets)
-    matrix = lyndon_generation_matrix(weight)
-    return dimension, len(matrix), rational_rank(matrix)
+    memo: dict = {}  # lives for this call, shared by one weight's multisets
+    leads: set[tuple[int, ...]] = set()
+    for multiset in multisets:
+        lead, coeff = _shuffle_lead(tuple(sorted(map(tuple, multiset))), memo)
+        concatenation = tuple(part for comp in sorted(multiset, reverse=True) for part in comp)
+        if (
+            lead != concatenation
+            or coeff != prod(map(factorial, Counter(multiset).values()))
+            or lead in leads
+        ):
+            matrix = lyndon_generation_matrix(weight)
+            return dimension, len(matrix), rational_rank(matrix)
+        leads.add(lead)
+    return dimension, len(multisets), len(multisets)

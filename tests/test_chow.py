@@ -206,6 +206,16 @@ class TestMarkedPointInvolution:
         for x in generators + [sum(generators, BetaElement.zero())]:
             assert marked_point_involution(x) == self._per_term(x)
 
+    def test_builds_no_beta_product(self, monkeypatch):
+        x = BetaElement({3: M([1, 2]), 1: -3 * M([2]), 0: QSymElement.from_int(5)})
+        expected = self._per_term(x)
+
+        def no_product(self, other):
+            raise AssertionError("BetaElement product")
+
+        monkeypatch.setattr(BetaElement, "__mul__", no_product)
+        assert marked_point_involution(x) == expected
+
     def test_preserves_total_degree(self):
         x = BetaElement({2: M([1, 2]), 1: QSymElement.one()})
         assert marked_point_involution(x).total_degree() == x.total_degree()
@@ -233,6 +243,27 @@ class TestMarkedPointInvolution:
 qsym_strategy = st.dictionaries(
     st.lists(st.integers(1, 4), max_size=3).map(Composition), st.integers(-3, 3), max_size=3
 ).map(QSymElement)
+
+
+beta_strategy = st.dictionaries(
+    st.integers(0, 6),
+    st.dictionaries(
+        st.lists(st.integers(1, 3), max_size=2).map(Composition), st.integers(-3, 3), max_size=3
+    ).map(QSymElement),
+    max_size=4,
+).map(BetaElement)
+
+
+@given(beta_strategy)
+# images that cancel: b^2 - 2*[1]*b maps to b^2 - [1]*[1], with nothing at
+# b^1, and b^6 - 6*[1]*b^5 has nothing at b^5
+@example(BetaElement({2: 1, 1: -2 * M([1])}))
+@example(BetaElement({6: 1, 5: -6 * M([1]), 0: -3}))
+@settings(max_examples=100, deadline=None)
+def test_involution_matches_the_beta_powers(x):
+    image = marked_point_involution(x)
+    assert image == TestMarkedPointInvolution._per_term(x)
+    assert marked_point_involution(image) == x
 
 
 @given(st.integers(-5, 5), qsym_strategy)

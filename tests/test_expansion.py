@@ -1,8 +1,10 @@
 """Polynomial expansions, recognition, face maps, and the rank certificate."""
 
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 import qsym.expansion
 from qsym import algebra
 from qsym.algebra import QSymElement, monomial
-from qsym.compositions import Composition, enumerate_compositions
+from qsym.compositions import Composition, enumerate_compositions, enumerate_lyndon
 from qsym.expansion import (
     SparsePolynomial,
     _basis_expansion,
@@ -27,6 +29,7 @@ from qsym.expansion import (
     verify_lyndon_free_generation,
     zero_insertion_holds,
 )
+from qsym.verification import lyndon_free_checks
 from reference_impls import face_map_by_substitution, polynomial_product, surjection_product
 
 M = monomial
@@ -396,6 +399,37 @@ class TestRationalRank:
         with pytest.raises(ValueError):
             rational_rank([[Fraction(1)], [Fraction(1), Fraction(2)]])
 
+    @staticmethod
+    def _determinant(rows):
+        """Cofactor expansion along the first row."""
+        if not rows:
+            return Fraction(1)
+        return sum(
+            (-1) ** j * value * TestRationalRank._determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+            for j, value in enumerate(rows[0])
+            if value
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(lambda shape: st.lists(
+            st.lists(st.integers(-2, 2).map(Fraction), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        ))
+    )
+    def test_rank_is_the_largest_nonzero_minor(self, rows):
+        rank = max(
+            (
+                k
+                for k in range(1, min(len(rows), len(rows[0])) + 1)
+                for picked in combinations(rows, k)
+                for cols in combinations(range(len(rows[0])), k)
+                if self._determinant([[row[c] for c in cols] for row in picked])
+            ),
+            default=0,
+        )
+        assert rational_rank(rows) == rank
+
 
 class TestLyndonGeneration:
     def test_multiset_counts_match_dimension(self):
@@ -418,6 +452,41 @@ class TestLyndonGeneration:
         for ms in lyndon_monomial_multisets(5):
             assert all(c.is_lyndon() for c in ms)
             assert sum(c.weight for c in ms) == 5
+
+    def test_multisets_match_a_brute_force(self):
+        # every multiset of generators, each drawn in list order, filtered by
+        # total weight
+        for weight in range(7):
+            generators = [g for w in range(1, weight + 1) for g in enumerate_lyndon(w)]
+            brute = [
+                ms
+                for size in range(weight + 1)
+                for ms in combinations_with_replacement(generators, size)
+                if sum(c.weight for c in ms) == weight
+            ]
+            assert sorted(lyndon_monomial_multisets(weight)) == sorted(brute), weight
+
+    def test_multisets_are_distinct_and_in_canonical_order(self):
+        for weight in range(11):
+            multisets = lyndon_monomial_multisets(weight)
+            assert len(set(multisets)) == len(multisets), weight
+            for ms in multisets:
+                assert list(ms) == sorted(ms, key=lambda c: (c.weight, c)), ms
+
+    def test_suite_enumerates_each_weight_once(self, monkeypatch):
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return enumerate_lyndon(n)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("qsym"):
+                if getattr(module, "enumerate_lyndon", None) is enumerate_lyndon:
+                    monkeypatch.setattr(module, "enumerate_lyndon", counting)
+        checks = lyndon_free_checks(9)
+        assert all(c.passed for c in checks)
+        assert sorted(calls) == list(range(1, 10))
 
     def test_matrix_shape(self):
         matrix = lyndon_generation_matrix(4)

@@ -6,6 +6,7 @@ import pytest
 
 from qsym import verification
 from qsym.algebra import QSymElement, TensorElement
+from qsym.chow import gluing_matches_coproduct
 from qsym.expansion import SparsePolynomial
 from qsym.verification import DEFAULT_DEGREES, SUITES, Check, run_all, run_suite
 
@@ -169,6 +170,19 @@ def test_gluing_coproduct_fails_on_a_broken_coproduct(monkeypatch):
     (check,) = [c for c in verification.mu_checks(5) if c.name == "gluing-coproduct"]
     assert not check.passed
     assert check.detail == "failed at [1,1] and 9 more"
+
+
+def test_gluing_coproduct_fails_on_an_overlong_term(monkeypatch):
+    # [1,1,1] (x) [1,1,1] has six parts, more than the three variables M[3]
+    # expands in, so it would expand to zero at every split
+    coproduct, target = QSymElement.coproduct, QSymElement.monomial([3])
+    extra = TensorElement(2, {((1, 1, 1), (1, 1, 1)): 1})
+    monkeypatch.setattr(
+        QSymElement, "coproduct",
+        lambda self: coproduct(self) + extra if self == target else coproduct(self),
+    )
+    assert not gluing_matches_coproduct(target)
+    assert _detail(verification.mu_checks(4), "gluing-coproduct") == "failed at [3]"
 
 
 def test_bialgebra_counts_each_pair_once(monkeypatch):
