@@ -383,9 +383,7 @@ class QSymElement(_Sparse):
         return self._wrap({c: v for c, v in self._terms.items() if c.weight == d})
 
 
-def monomial(composition: CompositionLike) -> QSymElement:
-    """Shorthand for :meth:`QSymElement.monomial`."""
-    return QSymElement.monomial(composition)
+monomial = QSymElement.monomial
 
 
 def _check_arity(arity: int) -> None:

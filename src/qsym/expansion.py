@@ -8,14 +8,13 @@ route to the product, which the test-suite exploits as a cross-check.
 
 Also here: recognising quasisymmetric polynomials, reading them back into the
 basis, variable-killing face maps, and the certificate that products of
-Lyndon-indexed basis elements span each graded piece.  The certificate checks
-that the leading terms of those products are the predicted, pairwise distinct
-concatenations, which makes their matrix triangular.  It reads each leading
-term from the lex-largest shuffle of the factors, without building the
-product; only when the check fails does it compute the rank by exact
-``Fraction`` elimination, the only use of ``Fraction``.  The Lyndon
-multisets of every weight come from one table pass over the generators, so
-the ``lyndon-free`` suite enumerates each weight's generators once.
+Lyndon-indexed basis elements span each graded piece.  The certificate counts
+the products whose leading terms, read from the lex-largest shuffle of the
+factors with no product built, are the predicted, pairwise distinct
+concatenations: a lower bound on the rank.  The tests compare it with
+:func:`rational_rank` of :func:`lyndon_generation_matrix`, exact ``Fraction``
+elimination.  The Lyndon multisets of every weight come from one table pass
+over the generators, so the ``lyndon-free`` suite enumerates each weight once.
 """
 
 from __future__ import annotations
@@ -339,40 +338,42 @@ def verify_lyndon_free_generation(weight: int) -> tuple[int, int, int]:
     """Certify that Lyndon monomials of one weight form a rational basis.
 
     Returns ``(dimension, multiset_count, rank)``: the dimension of the
-    graded piece, the number of Lyndon monomials of that weight, and the
-    exact rank of the matrix expressing those monomials in the basis.  Free
-    polynomial generation at this weight holds exactly when all three agree,
-    as theory says (Radford, J. Algebra 58, 1979; Hoffman, J. Algebraic
-    Combin. 11, 2000).
+    graded piece, the number of Lyndon monomials of that weight, and a
+    certified lower bound on the rank of the matrix expressing those
+    monomials in the basis.  Free polynomial generation at this weight holds
+    when all three agree, as theory says (Radford, J. Algebra 58, 1979;
+    Hoffman, J. Algebraic Combin. 11, 2000).
 
-    The rank comes from a leading-term certificate.  Each monomial, factors
-    in decreasing order, must lead under the (length, lex) order with their
-    concatenation, with the product of the factorials of the multiplicities
-    as coefficient, and no two may share a leading term (Chen, Fox and
-    Lyndon, Ann. of Math. 68, 1958).  Then the matrix is triangular.  A
-    merge shortens a word, so a product's longest terms are the shuffles of
-    its factors, none cancelling: the lead is the lex-largest shuffle, and
-    no product is built.  If any of this fails, :func:`rational_rank` ranks
-    :func:`lyndon_generation_matrix`, the only path that uses ``Fraction``.
+    A monomial counts toward ``rank`` when, factors in decreasing order, it
+    leads under the (length, lex) order with their concatenation, with the
+    product of the factorials of the multiplicities as coefficient, and no
+    counted monomial shares that lead (Chen, Fox and Lyndon, Ann. of Math.
+    68, 1958).  Counted monomials have distinct nonzero leading terms, so
+    they are independent.  A merge shortens a word, so a product's longest
+    terms are the shuffles of its factors, none cancelling: the lead is the
+    lex-largest shuffle, and no product is built.
     """
     _check_count(weight, "weight", positive=True)
-    return _certify_lyndon_free(weight, lyndon_monomial_multisets(weight))
+    return _certify_lyndon_free(weight, lyndon_monomial_multisets(weight))[:3]
 
 
-def _certify_lyndon_free(weight: int, multisets: list[tuple[Composition, ...]]) -> tuple[int, int, int]:
-    """:func:`verify_lyndon_free_generation` on the given Lyndon multisets."""
-    dimension = 2 ** (weight - 1)
+def _certify_lyndon_free(
+    weight: int, multisets: list[tuple[Composition, ...]]
+) -> tuple[int, int, int, tuple[Composition, ...] | None]:
+    """:func:`verify_lyndon_free_generation` on the given Lyndon multisets,
+    and the first multiset not counted toward the rank (None if none)."""
     memo: dict = {}  # lives for this call, shared by one weight's multisets
-    leads: set[tuple[int, ...]] = set()
+    leads: set[tuple[int, ...]] = set()  # one per counted multiset
+    uncounted = None
     for multiset in multisets:
         lead, coeff = _shuffle_lead(tuple(sorted(map(tuple, multiset))), memo)
         concatenation = tuple(part for comp in sorted(multiset, reverse=True) for part in comp)
         if (
-            lead != concatenation
-            or coeff != prod(map(factorial, Counter(multiset).values()))
-            or lead in leads
+            lead == concatenation
+            and coeff == prod(map(factorial, Counter(multiset).values()))
+            and lead not in leads
         ):
-            matrix = lyndon_generation_matrix(weight)
-            return dimension, len(matrix), rational_rank(matrix)
-        leads.add(lead)
-    return dimension, len(multisets), len(multisets)
+            leads.add(lead)
+        elif uncounted is None:
+            uncounted = multiset
+    return 2 ** (weight - 1), len(multisets), len(leads), uncounted

@@ -46,7 +46,7 @@ from .expansion import (
     is_quasisymmetric,
     zero_insertion_holds,
 )
-from .syntax import format_beta
+from .syntax import format_beta, format_composition
 
 
 @dataclass(frozen=True)
@@ -344,20 +344,18 @@ def lyndon_free_checks(max_degree: int = 6) -> list[Check]:
     Each weight is certified by the leading terms of the products, read from
     the longest shuffle terms with no product built: they must be distinct
     concatenations of the factors in decreasing order (Radford 1979, Hoffman
-    2000, Chen-Fox-Lyndon 1958), or the rank falls back to exact ``Fraction``
-    elimination.  See :func:`qsym.expansion.verify_lyndon_free_generation`.
+    2000, Chen-Fox-Lyndon 1958).  A failing weight names the first multiset
+    whose lead fails.  See :func:`qsym.expansion.verify_lyndon_free_generation`.
     """
     generators = [enumerate_lyndon(n) for n in range(1, max_degree + 1)]
     multisets = _lyndon_multiset_table(generators)  # one table for every weight
     checks: list[Check] = []
     for weight in range(1, max_degree + 1):
-        dimension, count, rank = _certify_lyndon_free(weight, multisets[weight])
-        passed = dimension == count == rank
-        checks.append(Check(
-            f"free-generation-weight-{weight}",
-            passed,
-            f"dimension {dimension}, Lyndon monomials {count}, rank {rank}",
-        ))
+        dimension, count, rank, uncounted = _certify_lyndon_free(weight, multisets[weight])
+        detail = f"dimension {dimension}, Lyndon monomials {count}, rank {rank}"
+        if uncounted is not None:
+            detail += f"; uncertified at [{', '.join(map(format_composition, uncounted))}]"
+        checks.append(Check(f"free-generation-weight-{weight}", dimension == count == rank, detail))
     generator_counts = list(map(len, generators))
     expected_counts = [lyndon_count(n) for n in range(1, max_degree + 1)]
     checks.append(Check(

@@ -18,6 +18,7 @@ from qsym.compositions import Composition, enumerate_compositions, enumerate_lyn
 from qsym.expansion import (
     SparsePolynomial,
     _basis_expansion,
+    _certify_lyndon_free,
     _shuffle_lead,
     expand,
     face_map,
@@ -33,6 +34,13 @@ from qsym.verification import lyndon_free_checks
 from reference_impls import face_map_by_substitution, polynomial_product, surjection_product
 
 M = monomial
+
+
+def _multisets_of_weight(weight):
+    """Tuples of compositions, any compositions, of total weight ``weight``."""
+    return st.sampled_from(enumerate_compositions(weight)).flatmap(
+        lambda weights: st.tuples(*(st.sampled_from(enumerate_compositions(w)) for w in weights))
+    )
 
 
 def all_compositions(max_weight):
@@ -560,7 +568,7 @@ class TestLyndonGeneration:
             verify_lyndon_free_generation(weight)
             assert algebra._quasi_shuffle.cache_info() == before, weight
 
-    def test_repeated_multiset_falls_back_to_exact_rank(self, monkeypatch):
+    def test_repeated_multiset_is_counted_once(self, monkeypatch):
         original = lyndon_monomial_multisets
 
         def with_repeat(weight):
@@ -575,18 +583,38 @@ class TestLyndonGeneration:
     @pytest.mark.parametrize(
         "multiset", [((3, 1), (2,)), ((1, 1), (1, 1))], ids=["concatenation", "coefficient"]
     )
-    def test_failed_prediction_falls_back_to_exact_rank(self, monkeypatch, multiset):
+    def test_failed_prediction_is_not_counted(self, monkeypatch, multiset):
         # non-Lyndon factors: [3,1]*[2] leads with [3,2,1], not the
-        # concatenation [3,1,2]; [1,1]*[1,1] leads with [1,1,1,1], but 6 times
+        # concatenation [3,1,2]; [1,1]*[1,1] leads with [1,1,1,1], but 6
+        # times.  The product is left out of the rank, and no elimination
+        # runs in its place.
         factors = tuple(Composition(c) for c in multiset)
         monkeypatch.setattr(qsym.expansion, "lyndon_monomial_multisets", lambda weight: [factors])
         ranked = []
-
-        def recording_rank(rows):
-            ranked.append(rows)
-            return rational_rank(rows)
-
-        monkeypatch.setattr(qsym.expansion, "rational_rank", recording_rank)
+        monkeypatch.setattr(qsym.expansion, "rational_rank", ranked.append)
         weight = sum(c.weight for c in factors)
-        assert verify_lyndon_free_generation(weight)[1:] == (1, 1)
-        assert len(ranked) == 1
+        assert verify_lyndon_free_generation(weight)[1:] == (1, 0)
+        assert ranked == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(lambda weight: st.tuples(
+            st.just(weight),
+            st.lists(_multisets_of_weight(weight), min_size=1, max_size=4).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+            ),
+        ))
+    )
+    def test_certified_rank_is_a_lower_bound(self, case):
+        # any factors, Lyndon or not, repeats included: the counted products
+        # are independent, so their number never exceeds the exact rank
+        weight, multisets = case
+        columns = enumerate_compositions(weight)
+        rows = []
+        for multiset in multisets:
+            terms = prod(map(M, multiset), start=QSymElement.one())._terms
+            rows.append([Fraction(terms.get(comp, 0)) for comp in columns])
+        _, count, rank, uncounted = _certify_lyndon_free(weight, multisets)
+        assert count == len(multisets)
+        assert rank <= rational_rank(rows)
+        assert (uncounted is None) == (rank == count)

@@ -4,9 +4,10 @@ import inspect
 
 import pytest
 
-from qsym import verification
+from qsym import expansion, verification
 from qsym.algebra import QSymElement, TensorElement
 from qsym.chow import gluing_matches_coproduct
+from qsym.compositions import lyndon_count
 from qsym.expansion import SparsePolynomial
 from qsym.verification import DEFAULT_DEGREES, SUITES, Check, run_all, run_suite
 
@@ -183,6 +184,27 @@ def test_gluing_coproduct_fails_on_an_overlong_term(monkeypatch):
     )
     assert not gluing_matches_coproduct(target)
     assert _detail(verification.mu_checks(4), "gluing-coproduct") == "failed at [3]"
+
+
+def test_lyndon_free_fails_on_a_miscounted_shuffle_lead(monkeypatch):
+    # one interleaving too many for every state of two or more words, so only
+    # the single Lyndon factors count; [1]^w is each weight's first product
+    shuffle_lead = expansion._shuffle_lead
+
+    def miscounted(state, memo):
+        lead, count = shuffle_lead(state, memo)
+        return lead, count + (len(state) > 1)
+
+    monkeypatch.setattr(expansion, "_shuffle_lead", miscounted)
+    checks = {c.name: c for c in verification.lyndon_free_checks(6)}
+    assert [name for name, c in checks.items() if not c.passed] == [
+        f"free-generation-weight-{w}" for w in range(2, 7)
+    ]
+    for w in range(2, 7):
+        assert checks[f"free-generation-weight-{w}"].detail == (
+            f"dimension {2 ** (w - 1)}, Lyndon monomials {2 ** (w - 1)}, rank {lyndon_count(w)}; "
+            f"uncertified at [{', '.join(['[1]'] * w)}]"
+        )
 
 
 def test_bialgebra_counts_each_pair_once(monkeypatch):

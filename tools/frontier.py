@@ -1,24 +1,27 @@
 """The one-second frontier: per suite, the largest ``verify`` bound within a budget.
 
-For each suite, this runs ``qsym verify <suite> --max-degree d`` in a fresh
-process, one at a time, with ``d`` rising from the suite's default bound.  It
-stops at the first bound whose wall time is over ``--budget`` seconds, or
-after ``--max-bound``, and prints the largest bound within budget ("-" if
-even the default is over) and the time of the next one::
+For each suite, this runs ``qsym verify <suite> --max-degree d`` in fresh
+processes, one at a time, with ``d`` rising from the suite's default bound.
+A bound's time is the median of ``RUNS`` runs, since single runs on a busy
+host can disagree by a whole bound.  It stops at the first bound whose time
+is over ``--budget`` seconds, or after ``--max-bound``, and prints the
+largest bound within budget ("-" if even the default is over) and the time
+of the next one::
 
     python3 tools/frontier.py
     python3 tools/frontier.py --suites lyndon-free tau --budget 0.5
 
 Wall time is that of the whole process, interpreter start-up included, as a
 user who types the command sees it.  Each run is killed after ``TIMEOUT_S``
-seconds, and a run that fails a check or exits nonzero ends its suite's
-sweep.  Only the standard library is used.
+seconds, and a run that is killed, fails a check or exits nonzero ends its
+suite's sweep.  Only the standard library is used.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -30,22 +33,28 @@ sys.path.insert(0, str(ROOT / "src"))
 from qsym.verification import DEFAULT_DEGREES  # noqa: E402
 
 TIMEOUT_S = 60.0
+RUNS = 3
 
 
 def time_bound(suite: str, bound: int) -> tuple[float | None, str]:
-    """Wall seconds of one fresh ``verify`` run (None past the timeout), and
-    an empty string, or what went wrong."""
+    """Median wall seconds of ``RUNS`` fresh ``verify`` runs and an empty
+    string, or, at the first run that goes wrong, its time (None past the
+    timeout) and what went wrong."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
     ))
     command = [sys.executable, "-m", "qsym.cli", "verify", suite, "--max-degree", str(bound)]
-    start = time.perf_counter()
-    try:
-        result = subprocess.run(command, env=env, capture_output=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return None, f"killed after {TIMEOUT_S:g} s"
-    elapsed = time.perf_counter() - start
-    return elapsed, "" if result.returncode == 0 else f"exit {result.returncode}"
+    times = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        try:
+            result = subprocess.run(command, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, f"killed after {TIMEOUT_S:g} s"
+        times.append(time.perf_counter() - start)
+        if result.returncode:
+            return times[-1], f"exit {result.returncode}"
+    return statistics.median(times), ""
 
 
 def frontier(suite: str, budget: float, max_bound: int) -> tuple[str, str]:
