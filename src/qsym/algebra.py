@@ -18,7 +18,6 @@ from collections import OrderedDict, namedtuple
 from functools import partial, update_wrapper
 from itertools import product
 from math import prod
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .compositions import Composition, _check_count, _composition, _is_int
@@ -124,10 +123,6 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
         below = row
     top = below[0]
     return tuple(zip(map(_composition, top), top.values()))
-
-
-# The composition and the multiplicity of a quasi-shuffle term.
-_first, _second = itemgetter(0), itemgetter(1)
 
 
 class _Sparse:
@@ -387,8 +382,8 @@ monomial = QSymElement.monomial
 
 
 def _check_arity(arity: int) -> None:
-    if arity not in (2, 3):
-        raise ValueError(f"tensor arity must be 2 or 3, got {arity}")
+    if not _is_int(arity) or arity not in (2, 3):
+        raise ValueError(f"tensor arity must be 2 or 3, got {arity!r}")
 
 
 class TensorElement(_Sparse):
@@ -424,7 +419,8 @@ class TensorElement(_Sparse):
 
     @classmethod
     def unit(cls, arity: int = 2) -> "TensorElement":
-        return cls(arity, {(_EMPTY,) * arity: 1})
+        _check_arity(arity)
+        return cls._wrap({(_EMPTY,) * arity: 1}, arity)
 
     def coefficient(self, key: Iterable[CompositionLike]) -> int:
         return self._terms.get(tuple(Composition(c) for c in key), 0)
@@ -446,8 +442,8 @@ class TensorElement(_Sparse):
                 v = v1 * v2
                 # one (composition, multiplicity) per slot in each choice
                 for choice in product(*map(_quasi_shuffle, key1, key2)):
-                    key = tuple(map(_first, choice))
-                    acc[key] = acc.get(key, 0) + v * prod(map(_second, choice))
+                    key, mults = zip(*choice)
+                    acc[key] = acc.get(key, 0) + v * prod(mults)
         return self._new(acc, self._shape)
 
 

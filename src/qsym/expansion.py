@@ -77,6 +77,7 @@ class SparsePolynomial(_Sparse):
 
     @classmethod
     def constant(cls, num_vars: int, value: int) -> "SparsePolynomial":
+        cls(num_vars)  # rejects a bad variable count before the key is built
         return cls(num_vars, {(0,) * num_vars: value})
 
     def coefficient(self, exps: tuple[int, ...]) -> int:
@@ -137,23 +138,22 @@ def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
     return SparsePolynomial._new(acc, num_vars)
 
 
-def _packed_pattern(exps: tuple[int, ...]) -> tuple[int, ...]:
-    """The subsequence of nonzero exponents, read left to right."""
-    return tuple(filter(None, exps))
+def _pattern_coefficients(poly: SparsePolynomial) -> dict[tuple[int, ...], int] | None:
+    """Each pattern of nonzero exponents and its shared coefficient, or None
+    unless every pattern appears at all ``C(n, len)`` placements with one
+    coefficient.  One pass counts the ``(pattern, coefficient)`` pairs: a pair
+    counted ``C(n, len)`` times holds every placement of its pattern."""
+    counts = Counter((tuple(filter(None, exps)), coeff) for exps, coeff in poly._terms.items())
+    n = poly.num_vars
+    if all(times == comb(n, len(pattern)) for (pattern, _), times in counts.items()):
+        return {pattern: coeff for pattern, coeff in counts}
+    return None
 
 
 def is_quasisymmetric(poly: SparsePolynomial) -> bool:
     """Whether every pattern of nonzero exponents appears at all placements
-    with one shared coefficient."""
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for exps, coeff in poly._terms.items():
-        groups.setdefault(_packed_pattern(exps), {})[exps] = coeff
-    for pattern, placements in groups.items():
-        if len(placements) != comb(poly.num_vars, len(pattern)):
-            return False
-        if len(set(placements.values())) > 1:
-            return False
-    return True
+    with one shared coefficient, read in one pass over the terms."""
+    return _pattern_coefficients(poly) is not None
 
 
 def from_polynomial(poly: SparsePolynomial) -> QSymElement:
@@ -162,22 +162,18 @@ def from_polynomial(poly: SparsePolynomial) -> QSymElement:
     Requires at least as many variables as the total degree, since with fewer
     variables distinct elements can share the same expansion.  Raises
     ``ValueError`` if the polynomial is not quasisymmetric or has too few
-    variables.
+    variables.  One pass groups the terms by pattern; a pattern's shared
+    coefficient is that of its composition.
     """
     if poly.num_vars < poly.degree():
         raise ValueError(
             f"{poly.num_vars} variables cannot faithfully represent degree "
             f"{poly.degree()}; need at least as many variables as the degree"
         )
-    if not is_quasisymmetric(poly):
+    shared = _pattern_coefficients(poly)
+    if shared is None:
         raise ValueError("polynomial is not quasisymmetric")
-    acc: dict[Composition, int] = {}
-    for exps, coeff in poly._terms.items():
-        pattern = _packed_pattern(exps)
-        # the leading placement puts all nonzero exponents first
-        if exps[: len(pattern)] == pattern:
-            acc[Composition(pattern)] = coeff
-    return QSymElement._wrap(acc)
+    return QSymElement._wrap({Composition(pattern): coeff for pattern, coeff in shared.items()})
 
 
 def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolynomial:

@@ -5,9 +5,10 @@ returns one :class:`Check` per property.  The bounds are arguments so the
 command line can push them higher; the defaults keep every suite under a few
 seconds while still covering all compositions of the stated weights.
 
-Every swept check runs through :func:`_sweep`.  The number in its detail is
-the number of cases it swept; a failure names the first failing case and
-counts the rest ("failed at ([], [1]) and 7 more").
+Every swept check runs through :func:`_sweep`, over rows that carry their
+basis elements: :func:`_basis` builds each ``M_c`` once.  The number in a
+detail is the number of cases swept; a failure names the first failing case
+and counts the rest ("failed at ([], [1]) and 7 more").
 """
 
 from __future__ import annotations
@@ -58,18 +59,19 @@ class Check:
     detail: str
 
 
-def _basis(max_degree: int) -> list[Composition]:
-    return [comp for d in range(max_degree + 1) for comp in enumerate_compositions(d)]
+def _basis(max_degree: int) -> list[tuple[Composition, QSymElement]]:
+    comps = (comp for d in range(max_degree + 1) for comp in enumerate_compositions(d))
+    return [(comp, QSymElement.monomial(comp)) for comp in comps]
 
 
-def _pairs(max_total: int) -> Iterator[tuple[Composition, Composition]]:
-    """Basis pairs of total weight at most ``max_total``, ordered by ``a`` then ``b``.
+def _pairs(max_total: int) -> Iterator[tuple[Composition, Composition, QSymElement, QSymElement]]:
+    """``(a, b, M_a, M_b)`` for basis pairs of total weight <= ``max_total``, by ``a`` then ``b``.
 
     ``_basis`` runs by weight and has 2**w compositions of weight at most w,
     so the partners of ``a`` are its first 2**(max_total - a.weight).
     """
     basis = _basis(max_total)
-    return ((a, b) for a in basis for b in basis[: 2 ** (max_total - a.weight)])
+    return ((a, b, fa, fb) for a, fa in basis for b, fb in basis[: 2 ** (max_total - a.weight)])
 
 
 _pair_label = "({}, {})".format
@@ -80,13 +82,14 @@ def _sweep(
     cases: Iterable[tuple],
     holds: Callable[..., bool],
     detail: str,
-    label: Callable[..., str] = str,
+    label: Callable[..., str] = "{}".format,
 ) -> Check:
     """Check ``holds(*case)`` on every case, counting the cases.
 
     A pass reports ``detail.format(count)``; a failure names the first failing
-    case by ``label(*case)`` and counts the rest.  ``zip(items)`` gives one-entry
-    cases; a ``str.format`` label ignores trailing entries only ``holds`` needs.
+    case by ``label(*case)`` and counts the rest.  A ``str.format`` label ignores
+    trailing entries only ``holds`` needs, so the default names a ``(c, M_c)``
+    row by ``c``; ``zip(items)`` gives one-entry cases.
     """
     count = failed = 0
     first = ""
@@ -105,43 +108,39 @@ def hopf_checks(max_degree: int = 6) -> list[Check]:
     """Coassociativity, counit, bialgebra, antipode, and involutivity sweeps."""
     basis = _basis(max_degree)
 
-    def coassociative(comp):
-        delta = QSymElement.monomial(comp).coproduct()
+    def coassociative(comp, f):
+        delta = f.coproduct()
         return coproduct_first(delta) == coproduct_second(delta)
 
-    def counital(comp):
-        f = QSymElement.monomial(comp)
+    def counital(comp, f):
         delta = f.coproduct()
         return counit_first(delta) == f and counit_second(delta) == f
 
-    def bialgebra(a, b):
-        fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
+    def bialgebra(a, b, fa, fb):
         product = fa * fb
         return (product.coproduct() == fa.coproduct() * fb.coproduct()
                 and product.counit() == fa.counit() * fb.counit())
 
-    def antipodal(comp):
-        f = QSymElement.monomial(comp)
+    def antipodal(comp, f):
         delta = f.coproduct()
         unit_part = QSymElement.from_int(f.counit())
         return all(contract_product(map_slot(delta, slot, QSymElement.antipode)) == unit_part
                    for slot in (0, 1))
 
-    def antipode_involutive(comp):
-        f = QSymElement.monomial(comp)
+    def antipode_involutive(comp, f):
         return f.antipode().antipode() == f
 
     return [
-        _sweep("coassociativity", zip(basis), coassociative,
+        _sweep("coassociativity", basis, coassociative,
                f"(D x id)D = (id x D)D on all {{}} basis elements through weight {max_degree}"),
-        _sweep("counit", zip(basis), counital,
+        _sweep("counit", basis, counital,
                "both counit contractions of D restore all {} basis elements"),
         _sweep("bialgebra", _pairs(max_degree), bialgebra,
                f"D and the counit are ring maps on {{}} basis pairs with total weight <= {max_degree}",
                _pair_label),
-        _sweep("antipode", zip(basis), antipodal,
+        _sweep("antipode", basis, antipodal,
                "m(S x id)D = m(id x S)D = unit.counit on all {} basis elements"),
-        _sweep("antipode-squared", zip(basis), antipode_involutive,
+        _sweep("antipode-squared", basis, antipode_involutive,
                "S.S = id on all {} basis elements (commutative case)"),
     ]
 
@@ -159,25 +158,24 @@ def oracle_checks(max_degree: int = 7) -> list[Check]:
     expands to a nonzero monomial of another degree.
     """
 
-    def product_expands(a, b):
+    def product_expands(a, b, fa, fb):
         n = len(a) + len(b)
-        fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
         product = fa * fb
         return (len(product.truncate(n)) == len(product)
                 and expand(product, n) == expand(fa, n) * expand(fb, n))
 
-    def round_trips(comp):
-        f = QSymElement.monomial(comp)
+    def round_trips(comp, f):
         poly = expand(f, max(comp.weight, 1))
         return is_quasisymmetric(poly) and from_polynomial(poly) == f
 
     return [
         _sweep("product-expansion",
-               ((a, b) for a, b in _pairs(max_degree) if len(a) and len(b)), product_expands,
+               ((a, b, fa, fb) for a, b, fa, fb in _pairs(max_degree) if a and b),
+               product_expands,
                "expanding the product matches multiplying expansions on {} pairs"
                f" with total weight <= {max_degree}",
                _pair_label),
-        _sweep("expansion-round-trip", zip(_basis(max_degree)), round_trips,
+        _sweep("expansion-round-trip", _basis(max_degree), round_trips,
                "expansions are quasisymmetric and read back exactly for all {} basis elements"),
     ]
 
@@ -188,15 +186,13 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
     degrees = range(max_degree + 1)
 
     def insertions():
-        for comp in basis:
-            f = QSymElement.monomial(comp)
+        for comp, f in basis:
             for n in degrees:
                 for slot in range(1, n + 2):
                     yield comp, n, slot, f
 
     def restrictions():
-        for comp in basis:
-            f = QSymElement.monomial(comp)
+        for comp, f in basis:
             expansions = [expand(f, n) for n in degrees]
             for n, poly in enumerate(expansions):
                 for m in range(n + 1):
@@ -213,8 +209,8 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
     ]
 
     def composed_restrictions():
-        for comp in basis:
-            poly = expand(QSymElement.monomial(comp), max_degree)
+        for comp, f in basis:
+            poly = expand(f, max_degree)
             selected = {kept: face_map(poly, kept) for kept in subsets}
             for outer, inner, composed in selections:
                 yield comp, outer, inner, selected[outer], selected[composed]
@@ -239,11 +235,11 @@ def mu_checks(max_degree: int = 6) -> list[Check]:
     """The gluing pullback against the deconcatenation coproduct."""
 
     # A pullback truncates a coproduct: build each once, truncate it per n1.
-    coproducts = {comp: QSymElement.monomial(comp).coproduct() for comp in _basis(max_degree - 1)}
+    coproducts = {comp: f.coproduct() for comp, f in _basis(max_degree - 1)}
 
     def splits():
-        for a, b in _pairs(max_degree - 1):
-            product = (QSymElement.monomial(a) * QSymElement.monomial(b)).coproduct()
+        for a, b, fa, fb in _pairs(max_degree - 1):
+            product = (fa * fb).coproduct()
             total = a.weight + b.weight
             for n1 in range(total + 1):
                 yield a, b, n1, total - n1, coproducts[a], coproducts[b], product
@@ -259,8 +255,8 @@ def mu_checks(max_degree: int = 6) -> list[Check]:
         })
 
     return [
-        _sweep("gluing-coproduct", zip(_basis(max_degree)),
-               lambda comp: gluing_matches_coproduct(QSymElement.monomial(comp)),
+        _sweep("gluing-coproduct", _basis(max_degree),
+               lambda comp, f: gluing_matches_coproduct(f),
                f"gluing pullbacks assemble into D on all {{}} basis elements through weight {max_degree}"),
         _sweep("gluing-multiplicative", splits(), pullback_multiplicative,
                "the pullback is a ring map into each truncated tensor square ({} cases)",
@@ -275,23 +271,20 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
     """The index-reversal and marked-point involutions."""
     basis = _basis(max_degree)
 
-    def reversal_involutive(comp):
-        f = QSymElement.monomial(comp)
+    def reversal_involutive(comp, f):
         return f.reverse_indices().reverse_indices() == f
 
-    def reversal_multiplicative(a, b):
-        fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
+    def reversal_multiplicative(a, b, fa, fb):
         return (fa * fb).reverse_indices() == fa.reverse_indices() * fb.reverse_indices()
 
-    def reversal_twists(comp):
-        f = QSymElement.monomial(comp)
+    def reversal_twists(f):
         reverse = QSymElement.reverse_indices
         return map_slot(map_slot(f.coproduct(), 0, reverse), 1, reverse) != reverse(f).coproduct()
 
-    witness = next(filter(reversal_twists, _basis(3)), None)
+    witness = next((comp for comp, f in _basis(3) if reversal_twists(f)), None)
     generators = [
-        BetaElement({k: QSymElement.monomial(comp)})
-        for comp in basis
+        BetaElement({k: f})
+        for comp, f in basis
         for k in range(max_degree + 1 - comp.weight)
     ]
 
@@ -310,7 +303,7 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
     expected = BetaElement({1: QSymElement.from_int(-1), 0: QSymElement.monomial([1])})
 
     return [
-        _sweep("reversal-involution", zip(basis), reversal_involutive,
+        _sweep("reversal-involution", basis, reversal_involutive,
                "index reversal squares to the identity on all {} basis elements"),
         _sweep("reversal-multiplicative", _pairs(max_degree), reversal_multiplicative,
                "index reversal is a ring map on {} basis pairs", _pair_label),

@@ -474,6 +474,18 @@ class TestTensors:
         with pytest.raises(ValueError, match=f"^tensor arity must be 2 or 3, got {count}$"):
             tensor(*[M([1])] * count)
 
+    @pytest.mark.parametrize("value", [3.0, True, "2"])
+    @pytest.mark.parametrize("build, message", [
+        (TensorElement, "tensor arity must be 2 or 3, got {!r}"),
+        (TensorElement.unit, "tensor arity must be 2 or 3, got {!r}"),
+        (lambda n: SparsePolynomial.constant(n, 1),
+         "variable count must be a nonnegative integer, got {!r}"),
+    ], ids=["TensorElement", "TensorElement.unit", "SparsePolynomial.constant"])
+    def test_arity_and_variable_count_must_be_ints(self, build, message, value):
+        # 3.0 and True compare equal to valid ints; "2" prints like one
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+            build(value)
+
 
 def summed(pairs):
     """Add up (key, coefficient) pairs into a dict, zero sums included."""

@@ -269,6 +269,33 @@ class TestFromPolynomial:
         with pytest.raises(ValueError):
             from_polynomial(SparsePolynomial(2, {(1, 0): 1}))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from(all_compositions(5)), st.integers(-4, 4)), max_size=6),
+        st.tuples(st.sampled_from(all_compositions(5)), st.integers(1, 4)),
+        st.integers(0, 2),
+        st.data(),
+    )
+    def test_read_back_of_combinations(self, terms, cancelled, extra, data):
+        """Expansions of integer combinations read back exactly, and a changed
+        placement of a present pattern is caught."""
+        comp, k = cancelled
+        f = sum((v * M(c) for c, v in terms + [(comp, k), (comp, -k)]), QSymElement.zero())
+        n = f.degree() + extra
+        poly = expand(f, n)
+        assert is_quasisymmetric(poly)
+        assert from_polynomial(poly) == f
+        # a pattern with one placement (empty, or as long as n) stays quasisymmetric
+        movable = [exps for exps, _ in poly.terms() if 0 < n - exps.count(0) < n]
+        if movable:
+            exps = data.draw(st.sampled_from(movable))
+            coefficients = dict(poly.terms())
+            coefficients[exps] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+            changed = SparsePolynomial(n, coefficients)
+            assert not is_quasisymmetric(changed)
+            with pytest.raises(ValueError, match="^polynomial is not quasisymmetric$"):
+                from_polynomial(changed)
+
 
 class TestFaceMaps:
     def test_validation(self):

@@ -62,8 +62,13 @@ def test_run_all_groups_by_suite():
 @pytest.mark.parametrize("max_total", range(8))
 def test_pairs_are_the_filtered_product_in_order(max_total):
     basis = verification._basis(max_total)
-    expected = [(a, b) for a in basis for b in basis if a.weight + b.weight <= max_total]
-    assert list(verification._pairs(max_total)) == expected
+    assert all(f == QSymElement.monomial(c) for c, f in basis)
+    comps = [c for c, _ in basis]
+    expected = [(a, b) for a in comps for b in comps if a.weight + b.weight <= max_total]
+    rows = list(verification._pairs(max_total))
+    assert [(a, b) for a, b, _, _ in rows] == expected
+    assert all(fa == QSymElement.monomial(a) and fb == QSymElement.monomial(b)
+               for a, b, fa, fb in rows)
 
 
 def test_checks_carry_detail_text():
