@@ -6,6 +6,10 @@ indexing compositions; the coproduct is deconcatenation; the antipode is a
 signed sum over coarsenings of the reversed composition.  Everything is exact:
 coefficients are Python ints, so they never overflow.
 
+Operations key results by plain int tuples, which the collector can untrack;
+:meth:`_Sparse.terms` wraps keys as :class:`Composition` as it yields them.
+Constructed and parsed elements keep :class:`Composition` keys, equal to their tuples.
+
 Each tensor-slot operation has one body: :func:`coproduct_at`, :func:`counit_at`
 and :func:`tensor`.  The names per slot and arity (``coproduct_first``,
 ``triple_tensor``, ...) stay bound to them: they are public, and the Hopf checks
@@ -20,11 +24,11 @@ from itertools import product
 from math import prod
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .compositions import Composition, _check_count, _composition, _is_int
+from .compositions import Composition, _check_count, _coarsenings, _composition, _is_int, _splits
 
 CompositionLike = Composition | Iterable[int]
 
-_EMPTY = Composition()
+_EMPTY = ()
 
 
 _MemoInfo = namedtuple("MemoInfo", "hits misses maxsize currsize evictions terms")
@@ -89,8 +93,8 @@ class _Memo:
 
 
 @_Memo
-def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[Composition, int], ...]:
-    """Quasi-shuffle of two part tuples as ((composition, coefficient), ...).
+def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Quasi-shuffle of two part tuples as ((parts, coefficient), ...).
 
     Hoffman's quasi-shuffle product (*Quasi-shuffle products*, J. Algebraic
     Combin. 11, 2000), built bottom-up over pairs of suffixes.  With
@@ -100,12 +104,12 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
         row[j] = a.below[j] + b.row[j + 1] + (a + b).below[j + 1]
 
     where ``x.`` puts the part x in front of every term.  Two rows of dicts
-    keyed by plain int tuples are alive at once; the keys become
-    :class:`Composition` only at the top, in no particular order.  Memoised
-    whole by :class:`_Memo`; callers must not mutate the result.
+    keyed by plain int tuples are alive at once; the result is the top
+    dict's items, in no particular order, with the keys still plain tuples.
+    Memoised whole by :class:`_Memo`; callers must not mutate the result.
     """
     if not left or not right:
-        return ((_composition(left or right), 1),)
+        return ((tuple(left or right), 1),)
     n = len(right)
     below = [{right[j:]: 1} for j in range(n + 1)]  # the row of the empty left suffix
     for i in range(len(left) - 1, -1, -1):
@@ -121,8 +125,7 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
             acc.update({(ab,) + k: c for k, c in below[j + 1].items()})
             row[j] = acc
         below = row
-    top = below[0]
-    return tuple(zip(map(_composition, top), top.values()))
+    return tuple(below[0].items())
 
 
 class _Sparse:
@@ -186,14 +189,21 @@ class _Sparse:
         if self._shape != other._shape:
             raise ValueError(f"{self._SHAPE_NAME} mismatch: {self._shape} vs {other._shape}")
 
+    _public = iter  # maps the ordered stored keys to the keys terms() yields
+
+    def _items(self, public: Callable = iter) -> Iterator[tuple]:
+        """The terms in canonical order, keys as stored unless ``public`` wraps them."""
+        order = self._order(self._terms)
+        return zip(public(order), map(self._terms.__getitem__, order))
+
     def terms(self) -> Iterator[tuple]:
         """Terms in the canonical order of the type, as ``(key, coefficient)``.
 
         The order is computed when ``terms()`` is called, and each call
-        returns a fresh iterator over it.
+        returns a fresh iterator over it.  Only here are keys wrapped in
+        their public type; the printers read :meth:`_items` and pay no wrap.
         """
-        order = self._order(self._terms)
-        return zip(order, map(self._terms.__getitem__, order))
+        return self._items(self._public)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -268,12 +278,13 @@ class QSymElement(_Sparse):
     __slots__ = ()
 
     _SCALAR_KEY = _EMPTY
+    _public = partial(map, _composition)
 
     def __init__(self, terms: Mapping[Composition, int] | None = None):
         self._store(None, terms, Composition)
 
     @staticmethod
-    def _order(comps: Iterable[Composition]) -> list[Composition]:
+    def _order(comps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Weight first, then lexicographic: a stable sort by weight of the lex order."""
         return sorted(sorted(comps), key=sum)
 
@@ -308,7 +319,7 @@ class QSymElement(_Sparse):
         return self._terms.get(Composition(composition), 0)
 
     def is_homogeneous(self) -> bool:
-        return len({c.weight for c in self._terms}) <= 1
+        return len(set(map(sum, self._terms))) <= 1
 
     def degree(self) -> int:
         """Largest weight appearing; 0 for the zero element."""
@@ -326,7 +337,7 @@ class QSymElement(_Sparse):
             return self._scaled(other)
         if not isinstance(other, QSymElement):
             return NotImplemented
-        acc: dict[Composition, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for ci, vi in self._terms.items():
             for cj, vj in other._terms.items():
                 v = vi * vj
@@ -340,7 +351,7 @@ class QSymElement(_Sparse):
         """Deconcatenation: each basis term splits over all prefix/suffix cuts."""
         # A cut determines its composition, so no key is reached twice.
         return TensorElement._wrap(
-            {cut: coeff for comp, coeff in self._terms.items() for cut in comp.splits()}, 2
+            {cut: coeff for comp, coeff in self._terms.items() for cut in _splits(comp)}, 2
         )
 
     def counit(self) -> int:
@@ -349,16 +360,16 @@ class QSymElement(_Sparse):
 
     def antipode(self) -> "QSymElement":
         """Signed sum over coarsenings of the reversed composition, per term."""
-        acc: dict[Composition, int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for comp, coeff in self._terms.items():
             sign = -1 if len(comp) % 2 else 1
-            for coarser in comp.reverse().coarsenings():
+            for coarser in _coarsenings(comp[::-1]):
                 acc[coarser] = acc.get(coarser, 0) + sign * coeff
         return self._new(acc)
 
     def reverse_indices(self) -> "QSymElement":
         """The algebra involution sending each basis index to its reversal."""
-        return self._wrap({c.reverse(): v for c, v in self._terms.items()})
+        return self._wrap({c[::-1]: v for c, v in self._terms.items()})
 
     # -- grading and truncation --------------------------------------------
 
@@ -375,7 +386,7 @@ class QSymElement(_Sparse):
         """The sum of terms of weight exactly ``d``."""
         if not _is_int(d):
             raise ValueError(f"weight must be an integer, got {d!r}")
-        return self._wrap({c: v for c, v in self._terms.items() if c.weight == d})
+        return self._wrap({c: v for c, v in self._terms.items() if sum(c) == d})
 
 
 monomial = QSymElement.monomial
@@ -389,14 +400,15 @@ def _check_arity(arity: int) -> None:
 class TensorElement(_Sparse):
     """A sparse integer combination of tensors of monomial basis elements.
 
-    Keys are tuples of compositions of a fixed arity (2 or 3).  The product
-    is componentwise quasi-shuffle; adding or multiplying elements of
-    different arity is an error.
+    Keys are tuples of compositions (int tuples once built by an operation)
+    of a fixed arity (2 or 3).  The product is componentwise quasi-shuffle;
+    adding or multiplying elements of different arity is an error.
     """
 
     __slots__ = ()
 
     _SHAPE_NAME = "tensor arity"
+    _public = partial(map, lambda key: tuple(map(_composition, key)))
 
     def __init__(self, arity: int, terms: Mapping[tuple, int] | None = None):
         _check_arity(arity)
@@ -409,7 +421,7 @@ class TensorElement(_Sparse):
         self._store(arity, terms, factors)
 
     @staticmethod
-    def _order(keys: Iterable[tuple[Composition, ...]]) -> list[tuple[Composition, ...]]:
+    def _order(keys: Iterable[tuple[tuple[int, ...], ...]]) -> list[tuple[tuple[int, ...], ...]]:
         """Factorwise weight-then-lex."""
         return sorted(keys, key=lambda key: [(sum(c), c) for c in key])
 
@@ -436,7 +448,7 @@ class TensorElement(_Sparse):
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check_shape(other)
-        acc: dict[tuple[Composition, ...], int] = {}
+        acc: dict[tuple[tuple[int, ...], ...], int] = {}
         for key1, v1 in self._terms.items():
             for key2, v2 in other._terms.items():
                 v = v1 * v2
@@ -450,7 +462,7 @@ class TensorElement(_Sparse):
 def tensor(*factors: QSymElement) -> TensorElement:
     """The tensor of two or three elements, linear in each factor."""
     _check_arity(len(factors))
-    acc: dict[tuple[Composition, ...], int] = {(): 1}
+    acc: dict[tuple[tuple[int, ...], ...], int] = {(): 1}
     for factor in factors:
         acc = {key + (c,): v * w for key, v in acc.items() for c, w in factor._terms.items()}
     return TensorElement._wrap(acc, len(factors))
@@ -470,7 +482,7 @@ def map_slot(
     to be meaningful.  If ``fn`` returns sums, the slot is re-expanded.
     """
     _check_slot(slot, element.arity)
-    acc: dict[tuple[Composition, ...], int] = {}
+    acc: dict[tuple[tuple[int, ...], ...], int] = {}
     for key, coeff in element._terms.items():
         image = fn(QSymElement._new({key[slot]: 1}))
         for comp, c in image._terms.items():
@@ -497,7 +509,7 @@ def coproduct_at(element: TensorElement, slot: int) -> TensorElement:
     return TensorElement._wrap({
         key[:slot] + cut + key[slot + 1 :]: coeff
         for key, coeff in _two_fold_terms(element, slot)
-        for cut in key[slot].splits()
+        for cut in _splits(key[slot])
     }, 3)
 
 
@@ -517,7 +529,7 @@ triple_tensor = tensor
 
 def contract_product(element: TensorElement) -> QSymElement:
     """Multiply the two slots of a 2-fold tensor together."""
-    acc: dict[Composition, int] = {}
+    acc: dict[tuple[int, ...], int] = {}
     for (left, right), coeff in _two_fold_terms(element):
         for comp, mult in _quasi_shuffle(left, right):
             acc[comp] = acc.get(comp, 0) + coeff * mult

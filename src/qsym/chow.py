@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from operator import le
 from typing import Iterable, Mapping
 
 from .algebra import QSymElement, TensorElement, _Sparse
@@ -32,12 +31,10 @@ def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorEl
         )
     if not all(_is_int(b) and b >= 0 for b in bounds):
         raise ValueError(f"length bounds must be nonnegative integers, got {bounds!r}")
-    acc = {
-        key: coeff
-        for key, coeff in element._terms.items()
-        if all(map(le, map(len, key), bounds))
-    }
-    return element._wrap(acc, element.arity)
+    terms = element._terms
+    for slot, bound in enumerate(bounds):
+        terms = {key: coeff for key, coeff in terms.items() if len(key[slot]) <= bound}
+    return element._wrap(terms, element.arity)
 
 
 def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:
@@ -147,15 +144,11 @@ class BetaElement(_Sparse):
 
     def beta_degree(self) -> int:
         """Largest beta power appearing; 0 for the zero element."""
-        if not self._terms:
-            return 0
-        return max(self._terms)
+        return max(self._terms, default=0)
 
     def total_degree(self) -> int:
         """Largest combined degree, counting beta with weight 1."""
-        if not self._terms:
-            return 0
-        return max(power + value.degree() for power, value in self._terms.items())
+        return max((power + value.degree() for power, value in self._terms.items()), default=0)
 
     def __repr__(self) -> str:
         from .syntax import format_beta

@@ -3,6 +3,9 @@
 Compositions index the monomial basis of the quasisymmetric function ring.
 This module provides the combinatorics layer: ordering, concatenation,
 reversal, coarsening, Lyndon testing, enumeration, and counting.
+:class:`Composition` is the public, validating type; the package cuts and
+coarsens plain int tuples with :func:`_splits` and :func:`_coarsenings`,
+which the methods of those names wrap.
 """
 
 from __future__ import annotations
@@ -66,33 +69,39 @@ class Composition(tuple):
         return len(self) > 0 and all(self[k:] > self for k in range(1, len(self)))
 
     def coarsenings(self) -> list["Composition"]:
-        """All compositions obtained by summing groups of consecutive parts.
-
-        Returns 2**(len-1) distinct compositions for a nonempty composition,
-        and just the empty composition for the empty one.  They share one
-        weight, so lexicographic order is the canonical order, and they are
-        built in it: a wider first group gives a larger first part.
-        """
-        n = len(self)
-        # tails[i]: the coarsenings of self[i:] as plain tuples, in lex order
-        tails: list[list[tuple[int, ...]]] = [[()]] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            first, out = 0, []
-            for k in range(i, n):
-                first += self[k]
-                out.extend([(first,) + tail for tail in tails[k + 1]])
-            tails[i] = out
-        return [_composition(c) for c in tails[0]]
+        """All compositions obtained by summing groups of consecutive parts, in lex order."""
+        return list(map(_composition, _coarsenings(self)))
 
     def splits(self) -> list[tuple["Composition", "Composition"]]:
         """All ways to cut into a prefix and a suffix, len+1 in total."""
-        return [(_composition(self[:k]), _composition(self[k:])) for k in range(len(self) + 1)]
+        return [(_composition(p), _composition(s)) for p, s in _splits(self)]
 
 
-# A composition from parts already known to be positive integers.  Skips the
-# validation of :class:`Composition`; for keys built inside the package from
-# valid compositions.
+# A composition from parts already known to be positive integers, without the
+# validation of :class:`Composition`: wraps keys the package built.
 _composition = partial(tuple.__new__, Composition)
+
+
+def _splits(parts: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The len+1 cuts of ``parts`` into a prefix and a suffix, as plain tuples."""
+    return [(parts[:k], parts[k:]) for k in range(len(parts) + 1)]
+
+
+def _coarsenings(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The 2**(len-1) sums of groups of consecutive parts (just ``()`` for
+    ``()``), as plain tuples.  They share one weight, so lex order is the
+    canonical order, and they are built in it: a wider first group gives a
+    larger first part."""
+    n = len(parts)
+    # tails[i]: the coarsenings of parts[i:], in lex order
+    tails: list[list[tuple[int, ...]]] = [[()]] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        first, out = 0, []
+        for k in range(i, n):
+            first += parts[k]
+            out.extend([(first,) + tail for tail in tails[k + 1]])
+        tails[i] = out
+    return tails[0]
 
 
 def compare_lex(left: Composition, right: Composition) -> int:
@@ -143,9 +152,6 @@ def lyndon_count(n: int) -> int:
     Computed as (1/n) * sum over divisors d of n of mobius(d) * (2**(n/d) - 1).
     """
     _check_count(n, "weight", positive=True)
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += mobius(d) * (2 ** (n // d) - 1)
+    total = sum(mobius(d) * (2 ** (n // d) - 1) for d in range(1, n + 1) if n % d == 0)
     assert total % n == 0
     return total // n

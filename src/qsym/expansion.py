@@ -173,7 +173,7 @@ def from_polynomial(poly: SparsePolynomial) -> QSymElement:
     shared = _pattern_coefficients(poly)
     if shared is None:
         raise ValueError("polynomial is not quasisymmetric")
-    return QSymElement._wrap({Composition(pattern): coeff for pattern, coeff in shared.items()})
+    return QSymElement._wrap(shared)
 
 
 def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolynomial:

@@ -288,14 +288,14 @@ class _PartText(dict):
 _part_text = _PartText().__getitem__
 
 
-def _composition(comp: Composition, style: _Style) -> str:
+def _composition(comp: tuple[int, ...], style: _Style) -> str:
     return style.open + ",".join(map(_part_text, comp)) + style.close
 
 
 def _qsym_parts(element: QSymElement, style: _Style) -> list[str]:
     return [
         _term(coeff, _composition(comp, style) if comp else "", style.times)
-        for comp, coeff in element.terms()
+        for comp, coeff in element._items()
     ]
 
 
@@ -312,19 +312,19 @@ def _tensor(element: TensorElement, style: _Style) -> str:
             ]),
             style.tensor_times,
         )
-        for key, coeff in element.terms()
+        for key, coeff in element._items()
     ])
 
 
 def _beta(element: BetaElement, style: _Style) -> str:
     parts: list[str] = []
-    for power, value in element.terms():
+    for power, value in element._items():
         if power == 0:
             parts += _qsym_parts(value, style)
             continue
         beta = _power(style.beta, power, style)
         if len(value) == 1:
-            ((comp, coeff),) = value.terms()
+            ((comp, coeff),) = value._items()
             if comp:
                 beta = _composition(comp, style) + style.times + beta
             parts.append(_term(coeff, beta, style.times))
@@ -344,7 +344,7 @@ def _polynomial(poly: SparsePolynomial, style: _Style) -> str:
             ]),
             style.times,
         )
-        for exps, coeff in poly.terms()
+        for exps, coeff in poly._items()
     ])
 
 
@@ -394,21 +394,21 @@ def latex_polynomial(poly: SparsePolynomial) -> str:
 def json_qsym(element: QSymElement) -> list[dict]:
     return [
         {"composition": list(comp), "coefficient": coeff}
-        for comp, coeff in element.terms()
+        for comp, coeff in element._items()
     ]
 
 
 def json_tensor(element: TensorElement) -> list[dict]:
     return [
         {"factors": [list(c) for c in key], "coefficient": coeff}
-        for key, coeff in element.terms()
+        for key, coeff in element._items()
     ]
 
 
 def json_beta(element: BetaElement) -> list[dict]:
     return [
         {"beta_power": power, "coefficient": json_qsym(value)}
-        for power, value in element.terms()
+        for power, value in element._items()
     ]
 
 
@@ -417,6 +417,6 @@ def json_polynomial(poly: SparsePolynomial) -> dict:
         "num_vars": poly.num_vars,
         "terms": [
             {"exponents": list(exps), "coefficient": coeff}
-            for exps, coeff in poly.terms()
+            for exps, coeff in poly._items()
         ],
     }

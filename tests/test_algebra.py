@@ -26,7 +26,7 @@ from qsym.algebra import (
     triple_tensor,
 )
 from qsym.chow import BetaElement, truncate_tensor
-from qsym.compositions import Composition, enumerate_compositions
+from qsym.compositions import Composition, enumerate_compositions, enumerate_lyndon
 from qsym.expansion import SparsePolynomial, expand, face_map, from_polynomial
 from reference_impls import surjection_product
 
@@ -638,6 +638,55 @@ def test_wrapped_results_match_the_zero_filtering_route(name, f, g, t, p):
     assert type(result) is type(expected)
     assert result == expected
     assert 0 not in result._terms.values()
+
+
+# Operations key their results by exact int tuples, whatever keys their
+# operands hold (the constructors keep Composition keys); terms() alone wraps.
+PLAIN_KEYED = {
+    "mul": lambda f, g, slot: f * g,
+    "coproduct": lambda f, g, slot: f.coproduct(),
+    "antipode": lambda f, g, slot: f.antipode(),
+    "reverse_indices": lambda f, g, slot: f.reverse_indices(),
+    "truncate": lambda f, g, slot: (f * g).truncate(2),
+    "coproduct_at": lambda f, g, slot: coproduct_at((f * g).coproduct(), slot),
+    "map_slot": lambda f, g, slot: map_slot(f.coproduct(), slot, lambda m: m * g),
+}
+
+
+def _is_parts(key):
+    return type(key) is tuple and all(type(part) is int for part in key)
+
+
+@pytest.mark.parametrize("name", PLAIN_KEYED)
+@given(f=small_elements, g=small_elements, slot=st.integers(0, 1))
+@settings(max_examples=25, deadline=None)
+def test_results_hold_plain_tuple_keys_and_terms_yields_compositions(name, f, g, slot):
+    result = PLAIN_KEYED[name](f, g, slot)
+    if isinstance(result, TensorElement):
+        assert all(type(key) is tuple and all(map(_is_parts, key)) for key in result._terms)
+        assert all(type(c) is Composition for key, _ in result.terms() for c in key)
+        rebuilt = TensorElement(result.arity, dict(result.terms()))
+    else:
+        assert all(map(_is_parts, result._terms))
+        assert all(type(c) is Composition for c, _ in result.terms())
+        rebuilt = QSymElement(dict(result.terms()))
+    assert result == rebuilt and rebuilt == result
+    assert hash(result) == hash(rebuilt)
+    for left in f._terms:
+        for right in g._terms:
+            assert all(_is_parts(key) for key, _ in _quasi_shuffle(left, right))
+
+
+def test_public_combinatorics_still_return_compositions():
+    c = Composition([2, 1, 3])
+    assert c.splits() == [((), (2, 1, 3)), ((2,), (1, 3)), ((2, 1), (3,)), ((2, 1, 3), ())]
+    assert all(type(p) is Composition and type(s) is Composition for p, s in c.splits())
+    assert c.coarsenings() == [(2, 1, 3), (2, 4), (3, 3), (6,)]
+    assert all(type(x) is Composition for x in c.coarsenings())
+    assert all(type(x) is Composition for x in enumerate_compositions(4) + enumerate_lyndon(4))
+    read_back = from_polynomial(expand(3 * M([1, 2]) - M([3]), 3))
+    assert list(read_back.terms()) == [((1, 2), 3), ((3,), -1)]
+    assert all(type(k) is Composition for k, _ in read_back.terms())
 
 
 # terms() is pinned to the sort keys the types once used, written out here;

@@ -597,8 +597,9 @@ class TestLargeProductOutput:
     def test_keys_are_compositions_and_terms_iterate_afresh(self, reference):
         algebra._quasi_shuffle.cache_clear()
         product = monomial(self.LEFT) * -monomial(self.RIGHT)
-        assert all(type(k) is Composition for k, _ in algebra._quasi_shuffle(self.LEFT, self.RIGHT))
-        assert all(type(k) is Composition for k in product._terms)
+        assert all(type(k) is tuple for k, _ in algebra._quasi_shuffle(self.LEFT, self.RIGHT))
+        assert all(type(k) is tuple for k in product._terms)
+        assert all(type(k) is Composition for k, _ in product.terms())
         first, second = product.terms(), product.terms()
         assert next(first) == reference[0]
         assert list(second) == reference
