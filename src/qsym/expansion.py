@@ -4,7 +4,10 @@ This module is deliberately independent of the quasi-shuffle kernel in
 :mod:`qsym.algebra`: a basis element is expanded into an honest polynomial in
 finitely many ordered variables by summing over strictly increasing placements
 of its parts.  Multiplying expansions therefore gives a second, unrelated
-route to the product, which the test-suite exploits as a cross-check.
+route to the product.  The ``oracle`` suite needs only the packed
+coefficients of that product, those of ``x1^c1...xl^cl``, which are the
+coefficients of the ``M_c``: :func:`_packed_product` reads them off the two
+expansions without building the product polynomial.
 
 Also here: recognising quasisymmetric polynomials, reading them back into the
 basis, variable-killing face maps, and the certificate that products of
@@ -23,7 +26,7 @@ from bisect import insort
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, factorial, prod
 from operator import add, itemgetter
 from typing import Iterable, Mapping
@@ -136,6 +139,33 @@ def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
         for exps in _basis_expansion(comp, num_vars):
             acc[exps] = acc.get(exps, 0) + coeff
     return SparsePolynomial._new(acc, num_vars)
+
+
+def _packed_product(p: SparsePolynomial, q: SparsePolynomial) -> dict[tuple[int, ...], int]:
+    """The packed coefficients of ``p * q``, with no product polynomial built.
+
+    A monomial is packed when its nonzero exponents are those of the first
+    ``l`` variables; it is keyed by those ``l`` exponents, a composition.  A
+    term pair multiplies to a packed monomial exactly when the union of the
+    supports is a prefix ``{1..l}``, a bit mask ``u`` with ``u & (u + 1) ==
+    0``; only such pairs are added up.  Zero coefficients are dropped.
+    """
+    p._check_shape(q)
+    bits = [1 << i for i in range(p.num_vars)]
+
+    def masked(poly):
+        return [(sum(compress(bits, exps)), exps, coeff) for exps, coeff in poly._terms.items()]
+
+    right = masked(q)
+    acc: dict[tuple[int, ...], int] = {}
+    for m1, e1, v1 in masked(p):
+        for m2, e2, v2 in right:
+            u = m1 | m2
+            if u & (u + 1) == 0:
+                length = u.bit_length()
+                key = tuple(map(add, e1[:length], e2[:length]))
+                acc[key] = acc.get(key, 0) + v1 * v2
+    return {key: coeff for key, coeff in acc.items() if coeff}
 
 
 def _pattern_coefficients(poly: SparsePolynomial) -> dict[tuple[int, ...], int] | None:

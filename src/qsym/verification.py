@@ -41,6 +41,7 @@ from .compositions import (
 from .expansion import (
     _certify_lyndon_free,
     _lyndon_multiset_table,
+    _packed_product,
     expand,
     face_map,
     from_polynomial,
@@ -148,21 +149,20 @@ def hopf_checks(max_degree: int = 6) -> list[Check]:
 def oracle_checks(max_degree: int = 7) -> list[Check]:
     """The quasi-shuffle kernel against honest polynomial multiplication.
 
-    ``product-expansion`` compares ``M_a * M_b`` with the product of the
-    expansions in ``n = len(a) + len(b)`` variables.  That loses nothing:
-    expansion in n variables is injective on the span of the M_c with
-    len(c) <= n, because the monomial a1^c1...al^cl appears only in M_c.
-    The true product lies in that span; a computed term longer than n would
-    expand to zero unseen, so any such term fails the check first.  A term of
-    the wrong weight needs no check of its own: if it is no longer than n, it
-    expands to a nonzero monomial of another degree.
+    ``product-expansion`` compares the terms of ``M_a * M_b`` with the packed
+    coefficients of the product of the expansions in ``n = len(a) + len(b)``
+    variables, those of the monomials ``x1^c1...xl^cl`` with every c_i > 0.
+    A quasisymmetric polynomial in n variables is fixed by them: the packed
+    coefficient at c is the coefficient of M_c, for every c with
+    len(c) <= n.  The true product lies in that span.  A computed term
+    longer than n, or of the wrong weight, has no packed coefficient to
+    match, so it fails the comparison itself.  No product polynomial is
+    built.
     """
 
     def product_expands(a, b, fa, fb):
         n = len(a) + len(b)
-        product = fa * fb
-        return (len(product.truncate(n)) == len(product)
-                and expand(product, n) == expand(fa, n) * expand(fb, n))
+        return (fa * fb)._terms == _packed_product(expand(fa, n), expand(fb, n))
 
     def round_trips(comp, f):
         poly = expand(f, max(comp.weight, 1))

@@ -19,6 +19,7 @@ from qsym.expansion import (
     SparsePolynomial,
     _basis_expansion,
     _certify_lyndon_free,
+    _packed_product,
     _shuffle_lead,
     expand,
     face_map,
@@ -48,6 +49,33 @@ def all_compositions(max_weight):
     for d in range(max_weight + 1):
         out.extend(enumerate_compositions(d))
     return out
+
+
+def _packed_terms(poly):
+    """The packed coefficients of ``poly``, read term by term: those of the
+    monomials whose nonzero exponents are the first ``l``, keyed by them."""
+    out = {}
+    for exps, coeff in poly.terms():
+        parts = tuple(filter(None, exps))
+        if exps[:len(parts)] == parts:
+            out[parts] = coeff
+    return out
+
+
+def _small_polynomials(num_vars):
+    """Polynomials in ``num_vars`` variables: arbitrary ones (mostly not
+    quasisymmetric, possibly zero), constants, and expansions."""
+    return st.one_of(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * num_vars), st.integers(-5, 5), max_size=6,
+        ).map(lambda terms: SparsePolynomial(num_vars, terms)),
+        st.integers(-3, 3).map(lambda value: SparsePolynomial.constant(num_vars, value)),
+        st.lists(
+            st.tuples(st.sampled_from(all_compositions(4)), st.integers(-3, 3)), max_size=3,
+        ).map(lambda terms: expand(
+            sum((c * M(comp) for comp, c in terms), QSymElement.zero()), num_vars
+        )),
+    )
 
 
 class TestSparsePolynomial:
@@ -99,6 +127,21 @@ class TestSparsePolynomial:
         product = SparsePolynomial(num_vars, left) * SparsePolynomial(num_vars, right)
         assert product == SparsePolynomial(num_vars, polynomial_product(left, right, num_vars))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(_small_polynomials(n), _small_polynomials(n))))
+    def test_packed_product_reads_the_full_product(self, pair):
+        # the full product stays the witness for the oracle's shortcut
+        p, q = pair
+        assert _packed_product(p, q) == _packed_terms(p * q)
+
+    def test_packed_product_keys_and_zeros(self):
+        p = SparsePolynomial(2, {(1, 0): 1, (0, 1): 1, (0, 0): 2})
+        q = SparsePolynomial(2, {(1, 0): 1, (0, 1): -1})
+        # (x1 + x2 + 2)(x1 - x2) = x1^2 - x2^2 + 2 x1 - 2 x2
+        assert _packed_product(p, q) == {(2,): 1, (1,): 2}
+        assert _packed_product(p, SparsePolynomial.zero(2)) == {}
+        assert _packed_product(SparsePolynomial.constant(0, 3), SparsePolynomial.constant(0, -2)) == {(): -6}
+
     def test_variable_count_mismatch(self):
         p = SparsePolynomial(2, {(1, 0): 1})
         q = SparsePolynomial(3, {(1, 0, 0): 1})
@@ -106,6 +149,8 @@ class TestSparsePolynomial:
             p + q
         with pytest.raises(ValueError):
             p * q
+        with pytest.raises(ValueError):
+            _packed_product(p, q)
 
     def test_degree(self):
         assert SparsePolynomial(2).degree() == 0
@@ -181,6 +226,21 @@ class TestExpand:
                 for alpha in comps:
                     padded = tuple(alpha) + (0,) * (n - len(alpha))
                     assert poly.coefficient(padded) == (1 if alpha == beta else 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.sampled_from([c for c in all_compositions(6) if len(c) <= n]),
+                  st.integers(-4, 4)),
+        max_size=5,
+    ))))
+    def test_packed_coefficients_read_back_the_element(self, case):
+        # The lemma behind the oracle's packed comparison: in n variables,
+        # the packed coefficient at c is the coefficient of M_c, len(c) <= n.
+        n, terms = case
+        f = sum((coeff * M(comp) for comp, coeff in terms), QSymElement.zero())
+        poly = expand(f, n)
+        assert _packed_terms(poly) == f._terms
+        assert _packed_product(poly, SparsePolynomial.constant(n, 1)) == f._terms
 
 
 def _is_full_expansion(poly, parts, num_vars):

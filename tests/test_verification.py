@@ -269,24 +269,37 @@ def test_forced_failure_names_beta_generators(monkeypatch):
 
 
 def _with_extra_term(extra, a, b):
-    """Wrap ``QSymElement.__mul__`` so that ``M_a * M_b`` gains the term ``extra``."""
+    """Wrap ``QSymElement.__mul__`` so that ``M_a * M_b`` gains ``extra``."""
     mul = QSymElement.__mul__
     fa, fb = QSymElement.monomial(a), QSymElement.monomial(b)
 
     def patched(self, other):
         product = mul(self, other)
-        return product + QSymElement.monomial(extra) if (self, other) == (fa, fb) else product
+        return product + extra if (self, other) == (fa, fb) else product
 
     return patched
 
 
+# M_[2] * M_[1] = M_[2,1] + M_[1,2] + M_[3]
 @pytest.mark.parametrize("extra", [
-    # longer than len([2]) + len([1]) = 2 variables, so it expands to zero
-    # there; only the length guard can see it
-    [1, 1, 1],
-    # weight 2, not 3, but short enough to expand to a nonzero monomial
-    [1, 1],
-], ids=["too-long", "wrong-weight"])
+    # longer than len([2]) + len([1]) = 2 variables, so it has no packed
+    # monomial there
+    QSymElement.monomial([1, 1, 1]),
+    # weight 2, not 3, but short enough to have a packed monomial
+    QSymElement.monomial([1, 1]),
+    # the coefficient of M_[2,1] becomes 2
+    QSymElement.monomial([2, 1]),
+    # M_[3] is dropped
+    -QSymElement.monomial([3]),
+], ids=["too-long", "wrong-weight", "wrong-coefficient", "dropped-term"])
 def test_product_expansion_rejects_a_wrong_term(monkeypatch, extra):
     monkeypatch.setattr(QSymElement, "__mul__", _with_extra_term(extra, [2], [1]))
     assert _detail(verification.oracle_checks(3), "product-expansion") == "failed at ([2], [1])"
+
+
+def test_oracle_builds_no_product_polynomial(monkeypatch):
+    def no_product(self, other):
+        raise AssertionError("SparsePolynomial product")
+
+    monkeypatch.setattr(SparsePolynomial, "__mul__", no_product)
+    assert all(check.passed for check in verification.oracle_checks(5))
