@@ -16,11 +16,10 @@ built from the :mod:`qsym.syntax` names ``{format,json,latex}_{kind}``.
 
 :func:`run` may be called many times in one process.  The argument parser is
 built once, on the first call, and reused.  The kernel caches behind it are
-bounded, so a long-lived caller's memory stays bounded: the memos of
-``algebra._quasi_shuffle`` and ``expansion._basis_expansion`` keep at most
-2**18 terms each and no result over 512 terms, and
-``expansion._face_selectors`` and the printers' part-text table
-(``syntax._PartText``, parts below 4096 only) keep at most 4,096 entries each.
+bounded, so a long-lived caller's memory stays bounded; each owner states its
+bound: ``algebra._Memo`` (the memos of ``algebra._quasi_shuffle`` and
+``expansion._basis_expansion``), ``expansion._face_selectors`` and the
+printers' part-text table ``syntax._PartText``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from functools import cache
 
 from . import syntax
@@ -138,7 +136,7 @@ def _cmd_verify(args) -> int:
         checks = run_suite(name, args.max_degree)
         verdicts += [check.passed for check in checks]
         if args.format == "json":
-            report.append({"suite": name, "checks": [asdict(check) for check in checks]})
+            report.append({"suite": name, "checks": [check._asdict() for check in checks]})
         else:
             print(f"{name}:")
             for check in checks:

@@ -24,17 +24,19 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from math import comb, factorial, prod
 from operator import add, itemgetter
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .algebra import QSymElement, _Memo, _Sparse
 from .compositions import (
     Composition, _check_count, _is_int, enumerate_compositions, enumerate_lyndon
 )
+
+if TYPE_CHECKING:  # built only by lyndon_generation_matrix, which imports it itself
+    from fractions import Fraction
 
 
 class SparsePolynomial(_Sparse):
@@ -330,6 +332,8 @@ def _lyndon_multiset_table(generators: list[list[Composition]]) -> list[list[tup
 def lyndon_generation_matrix(weight: int) -> list[list[Fraction]]:
     """Rows: products over each Lyndon multiset of weight ``weight``;
     columns: compositions of that weight, in lexicographic order."""
+    from fractions import Fraction
+
     columns = enumerate_compositions(weight)
     rows: list[list[Fraction]] = []
     for multiset in lyndon_monomial_multisets(weight):

@@ -32,7 +32,7 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 
 from .algebra import QSymElement, TensorElement
 from .chow import BetaElement
-from .compositions import Composition
+from .compositions import Composition, _composition as _as_composition
 from .expansion import SparsePolynomial
 
 _T = TypeVar("_T")
@@ -121,7 +121,7 @@ class _Cursor:
 def _parse_composition(cursor: _Cursor) -> Composition:
     cursor.expect("[")
     if cursor.accept("]"):
-        return Composition()
+        return _as_composition(())
     parts: list[int] = []
     while True:
         text, pos = cursor.peek()
@@ -131,14 +131,14 @@ def _parse_composition(cursor: _Cursor) -> Composition:
         parts.append(value)
         if not cursor.accept(","):
             cursor.expect("]")
-            return Composition(parts)
+            return _as_composition(parts)
 
 
 def _parse_qsym_term(cursor: _Cursor) -> tuple[Composition, int]:
     if not cursor.peek()[0].isdecimal():
         return _parse_composition(cursor), 1
     value = cursor.integer()
-    return (_parse_composition(cursor) if cursor.accept("*") else Composition()), value
+    return (_parse_composition(cursor) if cursor.accept("*") else _as_composition(())), value
 
 
 def _parse_qsym_expr(cursor: _Cursor) -> QSymElement:

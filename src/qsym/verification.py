@@ -13,10 +13,8 @@ and counts the rest ("failed at ([], [1]) and 7 more").
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import (
     QSymElement,
@@ -51,8 +49,7 @@ from .expansion import (
 from .syntax import format_beta, format_composition
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One verified property: a name, a verdict, and a human-readable detail."""
 
     name: str
@@ -368,9 +365,8 @@ SUITES: dict[str, Callable[..., list[Check]]] = {
     "lyndon-free": lyndon_free_checks,
 }
 
-DEFAULT_DEGREES: dict[str, int] = {  # each suite's default bound, from its signature
-    name: inspect.signature(suite).parameters["max_degree"].default for name, suite in SUITES.items()
-}
+# Each suite's default bound: ``max_degree`` is every suite's only parameter.
+DEFAULT_DEGREES: dict[str, int] = {name: suite.__defaults__[0] for name, suite in SUITES.items()}
 
 
 def run_suite(name: str, max_degree: int | None = None) -> list[Check]:

@@ -1,6 +1,10 @@
 """The command line, driven in process through its run() entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -615,3 +619,20 @@ class TestLargeProductOutput:
 )
 def test_golden_output(capsys, argv, expected):
     assert invoke(capsys, *argv) == (0, expected, "")
+
+
+def test_import_loads_no_unused_stdlib_module():
+    # The modules a fresh `import qsym.cli` adds, so whatever site preloads
+    # does not count.  The package needs none of these four at start-up.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys; before = set(sys.modules); import qsym.cli; "
+              "print(*sorted(set(sys.modules) - before))")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "qsym.cli" in loaded
+    assert not loaded & {"inspect", "dataclasses", "fractions", "decimal"}

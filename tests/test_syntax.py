@@ -58,6 +58,25 @@ class TestParseComposition:
             parse_composition("[1,0]")
 
 
+@pytest.mark.parametrize("parse,text,expected", [
+    (parse_composition, "[3,1,4]", Composition([3, 1, 4])),
+    (parse_qsym, "3*[1,2] - [2,1] + 1", 3 * M([1, 2]) - M([2, 1]) + 1),
+    (parse_tensor, "2*[3,1] (x) [4] - [] (x) [1]",
+     2 * tensor(M([3, 1]), M([4])) - tensor(M([]), M([1]))),
+])
+def test_parsed_parts_are_validated_once(monkeypatch, parse, text, expected):
+    # The cursor already rejects parts below 1, so the parsers build no
+    # Composition through its validating __init__ (the calls the tracer's
+    # compositions.constructed counter counts); parse_composition still
+    # returns a Composition.
+    init, calls = Composition.__init__, []
+    monkeypatch.setattr(Composition, "__init__", lambda self, *a: calls.append(a) or init(self, *a))
+    value = parse(text)
+    assert calls == []
+    monkeypatch.undo()
+    assert value == expected and type(value) is type(expected)
+
+
 class TestParseQsym:
     def test_single_terms(self):
         assert parse_qsym("[1,2]") == M([1, 2])

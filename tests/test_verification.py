@@ -36,6 +36,13 @@ class TestRegistry:
         assert default == DEFAULT_DEGREES[name]
 
 
+def test_check_is_a_named_tuple_of_three_fields():
+    check = run_suite("hopf", 1)[0]
+    assert list(check._asdict()) == ["name", "passed", "detail"]
+    name, passed, detail = check
+    assert (name, passed, detail) == (check.name, True, check.detail) == tuple(check)
+
+
 @pytest.mark.parametrize("name,degree", [
     ("hopf", 4),
     ("oracle", 4),
