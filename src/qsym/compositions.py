@@ -120,7 +120,7 @@ def enumerate_compositions(n: int) -> list[Composition]:
     n >= 1, and only the empty one for n = 0.
     """
     _check_count(n, "weight")
-    return _composition((1,) * n).coarsenings()
+    return list(map(_composition, _coarsenings((1,) * n)))
 
 
 def enumerate_lyndon(n: int) -> list[Composition]:

@@ -19,9 +19,10 @@ every "expected X but found T at position P" / "but input ended" error.
 
 Printers emit the same syntax back, always in canonical term order, so
 formatting is deterministic and round-trips through the parsers.  Text and
-LaTeX come from one printer per type, spelled by a style table (``_TEXT`` or
-``_LATEX``: brackets, separators, ``b`` or ``\\beta``, variable names and
-powers).  JSON renderers build data instead of strings, so they stay
+LaTeX come from one printer per type, a method of the style table ``_Style``
+(brackets, separators, ``b`` or ``\\beta``, variable names and powers); each
+public ``format_*`` or ``latex_*`` name is that method bound to ``_TEXT`` or
+``_LATEX``.  JSON renderers build data instead of strings, so they stay
 separate.  LaTeX and JSON are write-only.
 """
 
@@ -173,14 +174,14 @@ def _parse_tensor(cursor: _Cursor) -> TensorElement:
 
 
 def _parse_beta_term(cursor: _Cursor) -> tuple[int, QSymElement]:
-    scalar = QSymElement.one()
+    scalar = QSymElement._wrap({_as_composition(()): 1})
     beta_power: int | None = None
     while True:
         token, pos = cursor.peek()
         if token.isdecimal():
             scalar = scalar * cursor.integer()
         elif token == "[":
-            scalar = scalar * QSymElement.monomial(_parse_composition(cursor))
+            scalar = scalar * QSymElement._wrap({_parse_composition(cursor): 1})
         elif cursor.accept("b"):
             power = cursor.integer() if cursor.accept("^") else 1
             if beta_power is not None:
@@ -230,26 +231,6 @@ def parse_beta(text: str) -> BetaElement:
 # -- text and LaTeX printers ----------------------------------------------
 
 
-class _Style(NamedTuple):
-    """How one output format spells the pieces every printer shares."""
-
-    open: str  # composition brackets
-    close: str
-    times: str  # between a coefficient and its body, and between factors
-    otimes: str  # between tensor factors
-    tensor_times: str  # between a coefficient and a tensor term
-    empty_factor: str  # the empty composition as a tensor factor
-    beta: str
-    variable: str  # template for the variable with a given 1-based index
-    power: str  # template for a base raised to an exponent other than 1
-
-
-_TEXT = _Style("[", "]", "*", " (x) ", "*", "[]", "b", "a{}", "{}^{}")
-_LATEX = _Style(
-    "M_{(", ")}", "", " \\otimes ", "\\,", "1", "\\beta", "\\alpha_{{{}}}", "{}^{{{}}}"
-)
-
-
 def _join_signed(parts: list[str]) -> str:
     """Join ``+ x``/``- x`` parts; the first part keeps only a minus sign."""
     if not parts:
@@ -271,10 +252,6 @@ def _term(coeff: int, body: str, times: str) -> str:
     return sign + body if a == 1 else f"{sign}{a}{times}{body}"
 
 
-def _power(base: str, exponent: int, style: _Style) -> str:
-    return base if exponent == 1 else style.power.format(base, exponent)
-
-
 class _PartText(dict):
     """``str(part)`` by composition part: one C-level hit; keeps parts below 4096 only."""
 
@@ -288,104 +265,95 @@ class _PartText(dict):
 _part_text = _PartText().__getitem__
 
 
-def _composition(comp: tuple[int, ...], style: _Style) -> str:
-    return style.open + ",".join(map(_part_text, comp)) + style.close
+class _Style(NamedTuple):
+    """How one output format spells the pieces every printer shares.
+
+    The printers are its methods, so each reads its spelling from ``self``.
+    """
+
+    open: str  # composition brackets
+    close: str
+    times: str  # between a coefficient and its body, and between factors
+    otimes: str  # between tensor factors
+    tensor_times: str  # between a coefficient and a tensor term
+    empty_factor: str  # the empty composition as a tensor factor
+    beta_symbol: str
+    variable: str  # template for the variable with a given 1-based index
+    power_form: str  # template for a base raised to an exponent other than 1
+
+    def _power(self, base: str, exponent: int) -> str:
+        return base if exponent == 1 else self.power_form.format(base, exponent)
+
+    def composition(self, comp: tuple[int, ...]) -> str:
+        """Print a composition, such as ``[3,1,4]``."""
+        return self.open + ",".join(map(_part_text, comp)) + self.close
+
+    def _qsym_parts(self, element: QSymElement) -> list[str]:
+        composition, times = self.composition, self.times
+        return [
+            _term(coeff, composition(comp) if comp else "", times)
+            for comp, coeff in element._items()
+        ]
+
+    def qsym(self, element: QSymElement) -> str:
+        """Print a QSym element in canonical term order, such as ``1 + 3*[1,2] - [2,1]``."""
+        return _join_signed(self._qsym_parts(element))
+
+    def tensor(self, element: TensorElement) -> str:
+        """Print a tensor in canonical term order, such as ``-[] (x) [1] + 2*[3,1] (x) [4]``."""
+        composition, join, empty = self.composition, self.otimes.join, self.empty_factor
+        tensor_times = self.tensor_times
+        return _join_signed([
+            _term(coeff, join([composition(c) if c else empty for c in key]), tensor_times)
+            for key, coeff in element._items()
+        ])
+
+    def beta(self, element: BetaElement) -> str:
+        """Print a beta polynomial, highest power first, such as ``(2 + [1])*b^2 + [1,1]``."""
+        parts: list[str] = []
+        times = self.times
+        for power, value in element._items():
+            if power == 0:
+                parts += self._qsym_parts(value)
+                continue
+            beta = self._power(self.beta_symbol, power)
+            if len(value) == 1:
+                ((comp, coeff),) = value._items()
+                if comp:
+                    beta = self.composition(comp) + times + beta
+                parts.append(_term(coeff, beta, times))
+            else:
+                parts.append("+ (" + self.qsym(value) + ")" + times + beta)
+        return _join_signed(parts)
+
+    def polynomial(self, poly: SparsePolynomial) -> str:
+        """Print a polynomial in the variables ``a1, a2, ...``, such as ``a1^2*a2 - 2*a3``."""
+        power, variable, times = self._power, self.variable.format, self.times
+        return _join_signed([
+            _term(
+                coeff,
+                times.join([power(variable(i), e) for i, e in enumerate(exps, 1) if e]),
+                times,
+            )
+            for exps, coeff in poly._items()
+        ])
 
 
-def _qsym_parts(element: QSymElement, style: _Style) -> list[str]:
-    return [
-        _term(coeff, _composition(comp, style) if comp else "", style.times)
-        for comp, coeff in element._items()
-    ]
+_TEXT = _Style("[", "]", "*", " (x) ", "*", "[]", "b", "a{}", "{}^{}")
+_LATEX = _Style(
+    "M_{(", ")}", "", " \\otimes ", "\\,", "1", "\\beta", "\\alpha_{{{}}}", "{}^{{{}}}"
+)
 
-
-def _qsym(element: QSymElement, style: _Style) -> str:
-    return _join_signed(_qsym_parts(element, style))
-
-
-def _tensor(element: TensorElement, style: _Style) -> str:
-    return _join_signed([
-        _term(
-            coeff,
-            style.otimes.join([
-                _composition(c, style) if c else style.empty_factor for c in key
-            ]),
-            style.tensor_times,
-        )
-        for key, coeff in element._items()
-    ])
-
-
-def _beta(element: BetaElement, style: _Style) -> str:
-    parts: list[str] = []
-    for power, value in element._items():
-        if power == 0:
-            parts += _qsym_parts(value, style)
-            continue
-        beta = _power(style.beta, power, style)
-        if len(value) == 1:
-            ((comp, coeff),) = value._items()
-            if comp:
-                beta = _composition(comp, style) + style.times + beta
-            parts.append(_term(coeff, beta, style.times))
-        else:
-            parts.append("+ (" + _qsym(value, style) + ")" + style.times + beta)
-    return _join_signed(parts)
-
-
-def _polynomial(poly: SparsePolynomial, style: _Style) -> str:
-    return _join_signed([
-        _term(
-            coeff,
-            style.times.join([
-                _power(style.variable.format(i), e, style)
-                for i, e in enumerate(exps, 1)
-                if e
-            ]),
-            style.times,
-        )
-        for exps, coeff in poly._items()
-    ])
-
-
-def format_composition(comp: Composition) -> str:
-    return _composition(comp, _TEXT)
-
-
-def format_qsym(element: QSymElement) -> str:
-    return _qsym(element, _TEXT)
-
-
-def format_tensor(element: TensorElement) -> str:
-    return _tensor(element, _TEXT)
-
-
-def format_beta(element: BetaElement) -> str:
-    return _beta(element, _TEXT)
-
-
-def format_polynomial(poly: SparsePolynomial) -> str:
-    return _polynomial(poly, _TEXT)
-
-
-def latex_composition(comp: Composition) -> str:
-    return _composition(comp, _LATEX)
-
-
-def latex_qsym(element: QSymElement) -> str:
-    return _qsym(element, _LATEX)
-
-
-def latex_tensor(element: TensorElement) -> str:
-    return _tensor(element, _LATEX)
-
-
-def latex_beta(element: BetaElement) -> str:
-    return _beta(element, _LATEX)
-
-
-def latex_polynomial(poly: SparsePolynomial) -> str:
-    return _polynomial(poly, _LATEX)
+format_composition = _TEXT.composition
+format_qsym = _TEXT.qsym
+format_tensor = _TEXT.tensor
+format_beta = _TEXT.beta
+format_polynomial = _TEXT.polynomial
+latex_composition = _LATEX.composition
+latex_qsym = _LATEX.qsym
+latex_tensor = _LATEX.tensor
+latex_beta = _LATEX.beta
+latex_polynomial = _LATEX.polynomial
 
 
 # -- JSON renderers --------------------------------------------------------

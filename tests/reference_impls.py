@@ -96,3 +96,77 @@ def polynomial_product(
             exps = tuple(a[i] + b[i] for i in range(num_vars))
             acc[exps] = acc.get(exps, 0) + x * y
     return {k: v for k, v in acc.items() if v}
+
+
+def combination_product(
+    left: dict[tuple[int, ...], int], right: dict[tuple[int, ...], int]
+) -> dict[tuple[int, ...], int]:
+    """The product of two integer combinations of basis elements, given as
+    {composition: coefficient}, by ``surjection_product`` term by term."""
+    acc: dict[tuple[int, ...], int] = {}
+    for a, x in left.items():
+        for b, y in right.items():
+            for c, m in surjection_product(a, b).items():
+                acc[c] = acc.get(c, 0) + x * y * m
+    return {k: v for k, v in acc.items() if v}
+
+
+def elementary_images(alpha: tuple[int, ...], top: int) -> list[dict[tuple[int, ...], int]]:
+    """``[e_0(M_alpha), ..., e_top(M_alpha)]`` by Newton's identity
+    n e_n = sum_k (-1)^(k-1) p_k e_(n-k), with the Adams operation
+    p_k(M_alpha) = M_(k alpha).
+
+    Raises ``ArithmeticError`` where a division by n is not exact.
+    """
+    e = [{(): 1}]
+    for n in range(1, top + 1):
+        acc: dict[tuple[int, ...], int] = {}
+        for k in range(1, n + 1):
+            adams = {tuple(k * part for part in alpha): (-1) ** (k - 1)}
+            for c, v in combination_product(adams, e[n - k]).items():
+                acc[c] = acc.get(c, 0) + v
+        if any(v % n for v in acc.values()):
+            raise ArithmeticError(f"{n} e_{n}(M_{alpha}) is not divisible by {n}")
+        e.append({c: v // n for c, v in acc.items() if v})
+    return e
+
+
+def product_matrix(
+    generators: list[tuple[int, dict[tuple[int, ...], int]]], weight: int
+) -> list[list[int]]:
+    """One row per multiset of ``generators`` ((weight, combination) pairs)
+    whose weights sum to ``weight``: the coefficients of its product on the
+    compositions of ``weight`` in lex order.  Multisets are taken as
+    nondecreasing index tuples, in lex order."""
+    rows: list[dict[tuple[int, ...], int]] = []
+
+    def extend(start: int, left: int, acc: dict[tuple[int, ...], int]) -> None:
+        if not left:
+            rows.append(acc)
+        for i in range(start, len(generators)):
+            w, g = generators[i]
+            if w <= left:
+                extend(i, left - w, combination_product(acc, g))
+
+    extend(0, weight, {(): 1})
+    columns = sorted(coarsenings_by_merging((1,) * weight))
+    return [[row.get(c, 0) for c in columns] for row in rows]
+
+
+def bareiss_determinant(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination, in which every division is exact."""
+    a = [list(row) for row in rows]
+    n, sign, previous = len(a), 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1

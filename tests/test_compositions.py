@@ -172,6 +172,18 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_compositions(-1)
 
+    def test_enumeration_skips_the_public_coarsenings(self, monkeypatch):
+        # the tracer files Composition.coarsenings under its own layer, so
+        # enumeration coarsens through the plain-tuple helper instead
+        expected = enumerate_compositions(5), enumerate_lyndon(5)
+
+        def traced(self):
+            raise AssertionError("enumeration called Composition.coarsenings")
+
+        monkeypatch.setattr(Composition, "coarsenings", traced)
+        assert (enumerate_compositions(5), enumerate_lyndon(5)) == expected
+        assert all(type(c) is Composition for c in enumerate_compositions(5))
+
 
 class TestLyndon:
     def test_agrees_with_rotation_oracle(self):

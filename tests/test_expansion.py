@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +32,16 @@ from qsym.expansion import (
     zero_insertion_holds,
 )
 from qsym.verification import lyndon_free_checks
-from reference_impls import face_map_by_substitution, polynomial_product, surjection_product
+from reference_impls import (
+    bareiss_determinant,
+    coarsenings_by_merging,
+    elementary_images,
+    face_map_by_substitution,
+    is_lyndon_by_rotation,
+    polynomial_product,
+    product_matrix,
+    surjection_product,
+)
 
 M = monomial
 
@@ -705,3 +714,51 @@ class TestLyndonGeneration:
         assert count == len(multisets)
         assert rank <= rational_rank(rows)
         assert (uncounted is None) == (rank == count)
+
+
+def _lyndon_by_reference(weight):
+    """The Lyndon compositions of ``weight`` in lex order, by the reference routes."""
+    return [c for c in sorted(coarsenings_by_merging((1,) * weight)) if is_lyndon_by_rotation(c)]
+
+
+class TestIntegralFreeness:
+    """QSym is free over the integers (Hazewinkel, Adv. Math. 164, 2001), on
+    the generators e_n(M_alpha) for alpha Lyndon with gcd of parts 1.  The
+    ``lyndon-free`` suite certifies freeness over Q only: there the products
+    lead with the coefficient prod m_i!, which is not a unit.  Every route
+    here is a reference route, sharing no code with the package."""
+
+    @staticmethod
+    def _generators(top):
+        """(weight, e_n(M_alpha)) for every generator of weight at most ``top``."""
+        generators = []
+        for v in range(1, top + 1):
+            for alpha in _lyndon_by_reference(v):
+                if gcd(*alpha) == 1:
+                    e = elementary_images(alpha, top // v)  # raises if n e_n is not divisible by n
+                    generators += [(n * v, e[n]) for n in range(1, len(e))]
+        return generators
+
+    def test_elementary_images_of_one_part(self):
+        # e_n(M_(a)) = M_(a,...,a), n parts
+        for a in (1, 2, 3):
+            assert elementary_images((a,), 3) == [{(): 1}, {(a,): 1}, {(a, a): 1}, {(a, a, a): 1}]
+
+    @pytest.mark.parametrize("weight", range(1, 8))
+    def test_generator_products_are_a_basis_over_the_integers(self, weight):
+        matrix = product_matrix(self._generators(weight), weight)
+        assert len(matrix) == len(matrix[0]) == 2 ** (weight - 1)
+        assert bareiss_determinant(matrix) in (1, -1)
+
+    @pytest.mark.parametrize("weight, determinant", [(2, 2), (3, -6)])
+    def test_lyndon_monomial_products_are_not(self, weight, determinant):
+        # M_1^2 = M_2 + 2 M_11: a basis over Q, but not over the integers
+        generators = [(v, {alpha: 1}) for v in range(1, weight + 1) for alpha in _lyndon_by_reference(v)]
+        assert bareiss_determinant(product_matrix(generators, weight)) == determinant
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+    )))
+    def test_bareiss_matches_cofactor_expansion(self, rows):
+        assert bareiss_determinant(rows) == TestRationalRank._determinant(rows)

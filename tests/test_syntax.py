@@ -63,6 +63,8 @@ class TestParseComposition:
     (parse_qsym, "3*[1,2] - [2,1] + 1", 3 * M([1, 2]) - M([2, 1]) + 1),
     (parse_tensor, "2*[3,1] (x) [4] - [] (x) [1]",
      2 * tensor(M([3, 1]), M([4])) - tensor(M([]), M([1]))),
+    (parse_beta, "([1]+2)*b^2 + [1,1]*[2]",
+     BetaElement({2: M([1]) + 2, 0: M([1, 1]) * M([2])})),
 ])
 def test_parsed_parts_are_validated_once(monkeypatch, parse, text, expected):
     # The cursor already rejects parts below 1, so the parsers build no
