@@ -7,7 +7,7 @@ of its parts.  Multiplying expansions therefore gives a second, unrelated
 route to the product.  The ``oracle`` suite needs only the packed
 coefficients of that product, those of ``x1^c1...xl^cl``, which are the
 coefficients of the ``M_c``: :func:`_packed_product` reads them off the two
-expansions without building the product polynomial.
+memoised basis placements, and builds no polynomial.
 
 Also here: recognising quasisymmetric polynomials, reading them back into the
 basis, variable-killing face maps, and the certificate that products of
@@ -133,41 +133,39 @@ def _basis_expansion(parts: tuple[int, ...], num_vars: int) -> tuple[tuple[int, 
 def expand(element: QSymElement, num_vars: int) -> SparsePolynomial:
     """Expand into a polynomial in ``num_vars`` ordered variables.
 
-    Basis elements longer than ``num_vars`` expand to zero.
+    Basis elements longer than ``num_vars`` expand to zero.  A placement reads
+    back its composition, so each exponent tuple comes from one term alone.
     """
     _check_count(num_vars, "variable count")
-    acc: dict[tuple[int, ...], int] = {}
-    for comp, coeff in element._terms.items():
-        for exps in _basis_expansion(comp, num_vars):
-            acc[exps] = acc.get(exps, 0) + coeff
-    return SparsePolynomial._new(acc, num_vars)
+    terms = element._terms.items()
+    placed = {exps: coeff for comp, coeff in terms for exps in _basis_expansion(comp, num_vars)}
+    return SparsePolynomial._wrap(placed, num_vars)
 
 
-def _packed_product(p: SparsePolynomial, q: SparsePolynomial) -> dict[tuple[int, ...], int]:
-    """The packed coefficients of ``p * q``, with no product polynomial built.
+def _packed_product(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """The packed coefficients of ``M_a * M_b`` in ``n = len(a) + len(b)``
+    variables, read from the two basis placements with no polynomial built.
 
     A monomial is packed when its nonzero exponents are those of the first
     ``l`` variables; it is keyed by those ``l`` exponents, a composition.  A
-    term pair multiplies to a packed monomial exactly when the union of the
-    supports is a prefix ``{1..l}``, a bit mask ``u`` with ``u & (u + 1) ==
-    0``; only such pairs are added up.  Zero coefficients are dropped.
+    placement pair multiplies to a packed monomial exactly when the union of
+    the supports is a prefix ``{1..l}``, a bit mask ``u`` with ``u & (u + 1)
+    == 0``.  Every placement has coefficient 1, so each such pair adds 1 and
+    nothing cancels.
     """
-    p._check_shape(q)
-    bits = [1 << i for i in range(p.num_vars)]
-
-    def masked(poly):
-        return [(sum(compress(bits, exps)), exps, coeff) for exps, coeff in poly._terms.items()]
-
-    right = masked(q)
+    n = len(a) + len(b)
+    bits = [1 << i for i in range(n)]
+    right = [(sum(compress(bits, exps)), exps) for exps in _basis_expansion(b, n)]
     acc: dict[tuple[int, ...], int] = {}
-    for m1, e1, v1 in masked(p):
-        for m2, e2, v2 in right:
+    for e1 in _basis_expansion(a, n):
+        m1 = sum(compress(bits, e1))
+        for m2, e2 in right:
             u = m1 | m2
             if u & (u + 1) == 0:
                 length = u.bit_length()
                 key = tuple(map(add, e1[:length], e2[:length]))
-                acc[key] = acc.get(key, 0) + v1 * v2
-    return {key: coeff for key, coeff in acc.items() if coeff}
+                acc[key] = acc.get(key, 0) + 1
+    return acc
 
 
 def _pattern_coefficients(poly: SparsePolynomial) -> dict[tuple[int, ...], int] | None:

@@ -153,13 +153,12 @@ def oracle_checks(max_degree: int = 7) -> list[Check]:
     coefficient at c is the coefficient of M_c, for every c with
     len(c) <= n.  The true product lies in that span.  A computed term
     longer than n, or of the wrong weight, has no packed coefficient to
-    match, so it fails the comparison itself.  No product polynomial is
-    built.
+    match, so it fails the comparison itself.  The packed coefficients are
+    read from the two basis placements: no polynomial is built.
     """
 
     def product_expands(a, b, fa, fb):
-        n = len(a) + len(b)
-        return (fa * fb)._terms == _packed_product(expand(fa, n), expand(fb, n))
+        return (fa * fb)._terms == _packed_product(a, b)
 
     def round_trips(comp, f):
         poly = expand(f, max(comp.weight, 1))

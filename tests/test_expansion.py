@@ -31,6 +31,7 @@ from qsym.expansion import (
     verify_lyndon_free_generation,
     zero_insertion_holds,
 )
+from qsym.syntax import format_composition, parse_qsym
 from qsym.verification import lyndon_free_checks
 from reference_impls import (
     bareiss_determinant,
@@ -69,22 +70,6 @@ def _packed_terms(poly):
         if exps[:len(parts)] == parts:
             out[parts] = coeff
     return out
-
-
-def _small_polynomials(num_vars):
-    """Polynomials in ``num_vars`` variables: arbitrary ones (mostly not
-    quasisymmetric, possibly zero), constants, and expansions."""
-    return st.one_of(
-        st.dictionaries(
-            st.tuples(*[st.integers(0, 3)] * num_vars), st.integers(-5, 5), max_size=6,
-        ).map(lambda terms: SparsePolynomial(num_vars, terms)),
-        st.integers(-3, 3).map(lambda value: SparsePolynomial.constant(num_vars, value)),
-        st.lists(
-            st.tuples(st.sampled_from(all_compositions(4)), st.integers(-3, 3)), max_size=3,
-        ).map(lambda terms: expand(
-            sum((c * M(comp) for comp, c in terms), QSymElement.zero()), num_vars
-        )),
-    )
 
 
 class TestSparsePolynomial:
@@ -137,19 +122,19 @@ class TestSparsePolynomial:
         assert product == SparsePolynomial(num_vars, polynomial_product(left, right, num_vars))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(_small_polynomials(n), _small_polynomials(n))))
+    @given(st.tuples(st.sampled_from(all_compositions(5)), st.sampled_from(all_compositions(5))))
     def test_packed_product_reads_the_full_product(self, pair):
         # the full product stays the witness for the oracle's shortcut
-        p, q = pair
-        assert _packed_product(p, q) == _packed_terms(p * q)
+        a, b = pair
+        n = len(a) + len(b)
+        assert _packed_product(a, b) == _packed_terms(expand(M(a), n) * expand(M(b), n))
 
     def test_packed_product_keys_and_zeros(self):
-        p = SparsePolynomial(2, {(1, 0): 1, (0, 1): 1, (0, 0): 2})
-        q = SparsePolynomial(2, {(1, 0): 1, (0, 1): -1})
-        # (x1 + x2 + 2)(x1 - x2) = x1^2 - x2^2 + 2 x1 - 2 x2
-        assert _packed_product(p, q) == {(2,): 1, (1,): 2}
-        assert _packed_product(p, SparsePolynomial.zero(2)) == {}
-        assert _packed_product(SparsePolynomial.constant(0, 3), SparsePolynomial.constant(0, -2)) == {(): -6}
+        # (x1 + x2)^2 = x1^2 + 2 x1 x2 + x2^2, whose packed monomials are
+        # x1^2 and x1 x2
+        assert _packed_product((1,), (1,)) == {(2,): 1, (1, 1): 2}
+        assert _packed_product((), ()) == {(): 1}
+        assert _packed_product((2, 1), ()) == {(2, 1): 1}
 
     def test_variable_count_mismatch(self):
         p = SparsePolynomial(2, {(1, 0): 1})
@@ -158,8 +143,6 @@ class TestSparsePolynomial:
             p + q
         with pytest.raises(ValueError):
             p * q
-        with pytest.raises(ValueError):
-            _packed_product(p, q)
 
     def test_degree(self):
         assert SparsePolynomial(2).degree() == 0
@@ -203,10 +186,23 @@ class TestExpand:
         assert expand(M([1]), 0).is_zero()
         assert expand(QSymElement.from_int(4), 0) == SparsePolynomial.constant(0, 4)
 
-    def test_linear(self):
-        f, g = M([1, 2]), M([2])
-        assert expand(f + g, 4) == expand(f, 4) + expand(g, 4)
-        assert expand(3 * f, 4) == 3 * expand(f, 4)
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.lists(
+        st.tuples(st.sampled_from(all_compositions(4)), st.booleans(), st.integers(-4, 4)),
+        max_size=5,
+    ))
+    def test_linear(self, n, terms):
+        # A term is parsed (a Composition key) or built by a product (a plain
+        # tuple key); the empty composition is drawn too.  Placements of
+        # distinct compositions never meet, so M_c places C(n, len c) monomials.
+        def basis(comp, built):
+            return M(comp) * M([]) if built else parse_qsym(format_composition(comp))
+
+        f = sum((coeff * basis(comp, built) for comp, built, coeff in terms), QSymElement.zero())
+        assert expand(f, n) == sum(
+            (coeff * expand(M(comp), n) for comp, coeff in f.terms()), SparsePolynomial.zero(n)
+        )
+        assert len(expand(f, n)) == sum(comb(n, len(comp)) for comp in f._terms if len(comp) <= n)
 
     def test_negative_variable_count(self):
         with pytest.raises(ValueError, match=r"^variable count must be nonnegative, got -1$"):
@@ -249,7 +245,6 @@ class TestExpand:
         f = sum((coeff * M(comp) for comp, coeff in terms), QSymElement.zero())
         poly = expand(f, n)
         assert _packed_terms(poly) == f._terms
-        assert _packed_product(poly, SparsePolynomial.constant(n, 1)) == f._terms
 
 
 def _is_full_expansion(poly, parts, num_vars):

@@ -310,3 +310,12 @@ def test_oracle_builds_no_product_polynomial(monkeypatch):
 
     monkeypatch.setattr(SparsePolynomial, "__mul__", no_product)
     assert all(check.passed for check in verification.oracle_checks(5))
+
+
+def test_oracle_expands_only_for_the_round_trip(monkeypatch):
+    # product-expansion reads basis placements; only expansion-round-trip
+    # expands, once for each of the 2**7 basis elements of weight <= 7
+    calls = []
+    _patch(monkeypatch, "expand", lambda k: lambda f, n: calls.append(n) or k(f, n))
+    assert all(check.passed for check in verification.oracle_checks(7))
+    assert len(calls) == 2 ** 7
