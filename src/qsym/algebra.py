@@ -215,9 +215,10 @@ class _Sparse:
         return len(self._terms)
 
     def __eq__(self, other) -> bool:
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not self.__class__:  # every _lift returns its own class as is
+            other = self._lift(other)
+            if other is None:
+                return NotImplemented
         return self._shape == other._shape and self._terms == other._terms
 
     def __hash__(self) -> int:

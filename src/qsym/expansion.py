@@ -211,23 +211,24 @@ def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolyno
 
     ``positions`` must be strictly increasing and within range.  The kept
     variables are renumbered 1..m in order; any term using a killed variable
-    is dropped.
+    is dropped.  Each face is compiled once, by :func:`_face_selectors`.
     """
-    positions = tuple(positions)
     try:
-        keep, kill, zeros = _face_selectors(poly.num_vars, *positions)
+        image = _face_selectors(poly.num_vars, *positions)
     except TypeError:  # an unhashable position
-        raise ValueError(f"positions must be integers, got {positions!r}") from None
-    # A surviving term is zero at every killed variable, so ``keep`` is
-    # one-to-one on survivors and no two of them need adding up.
-    kept = {keep(exps): coeff for exps, coeff in poly._terms.items() if kill(exps) == zeros}
-    return SparsePolynomial._wrap(kept, len(positions))
+        raise ValueError(f"positions must be integers, got {tuple(positions)!r}") from None
+    return image(poly._terms)
 
 
 @lru_cache(maxsize=4096, typed=True)
 def _face_selectors(num_vars: int, *positions: int):
-    """The validated (keep, kill) selectors of one face map, and the tuple
-    ``kill`` gives on a surviving term.
+    """The validated image builder of one face map: a function from the term
+    dict of a ``num_vars``-variable polynomial to its finished image.
+
+    The kill test is picked once per face: none with no killed variable, one
+    index test with one, a tuple comparison with several.  A surviving term
+    is zero at every killed variable, so ``keep`` is one-to-one on survivors
+    and no two of them need adding up.
 
     Raises ``ValueError`` for positions that are not integers, out of range
     or not strictly increasing; ``lru_cache`` caches no exception, so a bad
@@ -242,7 +243,14 @@ def _face_selectors(num_vars: int, *positions: int):
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be strictly increasing, got {positions!r}")
     killed = [i for i in range(num_vars) if i + 1 not in positions]
-    return _selector([p - 1 for p in positions]), _selector(killed), (0,) * len(killed)
+    keep, wrap, width = _selector([p - 1 for p in positions]), SparsePolynomial._wrap, len(positions)
+    if not killed:  # every variable kept, in order
+        return lambda terms: wrap(dict(terms), width)
+    if len(killed) == 1:
+        i = killed[0]
+        return lambda terms: wrap({keep(e): c for e, c in terms.items() if not e[i]}, width)
+    kill, zeros = _selector(killed), (0,) * len(killed)
+    return lambda terms: wrap({keep(e): c for e, c in terms.items() if kill(e) == zeros}, width)
 
 
 def _selector(indices: list[int]):

@@ -59,9 +59,9 @@ class TestElementBasics:
         assert f.coefficient([5]) == 0
 
     def test_equality_with_int(self):
-        assert QSymElement.from_int(4) == 4
+        assert QSymElement.from_int(4) == 4 and 4 == QSymElement.from_int(4)
         assert QSymElement.zero() == 0
-        assert M([1]) != 1
+        assert M([1]) != 1 and 1 != M([1])
 
     def test_terms_canonical_order(self):
         f = M([3]) + M([1, 2]) + M([1]) + QSymElement.one()

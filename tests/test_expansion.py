@@ -4,7 +4,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, gcd, prod
 
 import pytest
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qsym.expansion
 from qsym import algebra
-from qsym.algebra import QSymElement, monomial
+from qsym.algebra import QSymElement, TensorElement, monomial, tensor
 from qsym.compositions import Composition, enumerate_compositions, enumerate_lyndon
 from qsym.expansion import (
     SparsePolynomial,
@@ -375,6 +375,13 @@ class TestFaceMaps:
         with pytest.raises(ValueError, match="positions must be integers"):
             face_map(poly, ([1],))
 
+    def test_other_sparse_types_are_refused(self):
+        # a tensor's shape is an int (its arity), so only the variable count
+        # keeps it from being mapped as if its keys were exponent tuples
+        for element in (M([1]), TensorElement.unit(), tensor(M([1]), M([2]))):
+            with pytest.raises(AttributeError, match="num_vars"):
+                face_map(element, (1,))
+
     def test_bool_rejected_after_the_equal_int_is_cached(self):
         poly = expand(M([1]), 3)
         assert face_map(poly, (1,)) == SparsePolynomial(1, {(1,): 1})
@@ -419,9 +426,37 @@ class TestFaceMaps:
         every = tuple(range(1, num_vars + 1))
         mask = data.draw(st.lists(st.booleans(), min_size=num_vars, max_size=num_vars))
         drawn = tuple(p for p, kept in zip(every, mask) if kept)
-        for positions in [drawn, (), every, *((p,) for p in every)]:
+        # each branch of the compiled face: no, one and several variables killed
+        one_killed = [tuple(p for p in every if p != q) for q in every]
+        for positions in [drawn, (), every, *((p,) for p in every), *one_killed]:
             expected = face_map_by_substitution(terms, num_vars, positions)
             assert face_map(poly, positions) == SparsePolynomial(len(positions), expected)
+
+    @pytest.mark.parametrize("positions", [(1, 2, 3), (1, 3), (2,), ()])
+    @pytest.mark.parametrize("counts", [(3, 4), (4, 3)])
+    def test_compiled_face_is_keyed_by_variable_count(self, positions, counts):
+        # (1, 2, 3) kills no variable of 3 and one of 4; (1, 3) one of 3 and two of 4
+        qsym.expansion._face_selectors.cache_clear()
+        for num_vars in counts:
+            terms = {exps: k + 1 for k, exps in enumerate(product([0, 1], repeat=num_vars))}
+            expected = face_map_by_substitution(terms, num_vars, positions)
+            image = face_map(SparsePolynomial(num_vars, terms), positions)
+            assert image == SparsePolynomial(len(positions), expected)
+
+    @pytest.mark.parametrize("positions", [(1, 2, 3), (1, 3), (2,), ()])
+    def test_images_hash_like_the_equal_polynomial(self, positions):
+        terms = {(0, 0, 0): 5, (1, 0, 0): 2, (0, 1, 0): 3, (0, 0, 2): -1, (2, 0, 1): 4}
+        image = face_map(SparsePolynomial(3, terms), positions)
+        rebuilt = SparsePolynomial(len(positions), dict(reversed(list(image.terms()))))
+        assert image == rebuilt and rebuilt == image and hash(image) == hash(rebuilt)
+
+    def test_equality_needs_the_same_type_and_shape(self):
+        poly, one = SparsePolynomial.constant(0, 1), QSymElement.one()
+        for other in (one, M([1]), TensorElement.unit(), tensor(M([1]), one)):
+            assert poly != other and other != poly
+            assert not poly == other and not other == poly
+        assert SparsePolynomial(2) != SparsePolynomial(3)
+        assert TensorElement(2) != TensorElement(3)
 
     def test_restriction_recovers_smaller_expansion(self):
         from itertools import combinations

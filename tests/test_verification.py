@@ -150,6 +150,18 @@ def test_run_all_golden_at_default_bounds():
     } == DEFAULT_TRIPLES
 
 
+def test_limit_details_at_the_deep_bound():
+    # The output digest stops at --max-degree 4; the benchmark's deep run is limit@6.
+    assert [tuple(c) for c in verification.limit_checks(6)] == [
+        ("zero-insertion", True,
+         "killing any one variable restores the smaller expansion (1792 cases)"),
+        ("restriction", True,
+         "keeping any increasing set of variables restores the smaller expansion (8128 cases)"),
+        ("restriction-composition", True,
+         "composing variable selections agrees with selecting once (46656 cases)"),
+    ]
+
+
 # -- forced failures, one per label shape ------------------------------------------
 
 def _detail(checks, name):
