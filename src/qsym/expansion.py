@@ -213,10 +213,11 @@ def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolyno
     variables are renumbered 1..m in order; any term using a killed variable
     is dropped.  Each face is compiled once, by :func:`_face_selectors`.
     """
+    positions = tuple(positions)
     try:
         image = _face_selectors(poly.num_vars, *positions)
     except TypeError:  # an unhashable position
-        raise ValueError(f"positions must be integers, got {tuple(positions)!r}") from None
+        raise ValueError(f"positions must be integers, got {positions!r}") from None
     return image(poly._terms)
 
 

@@ -375,6 +375,15 @@ class TestFaceMaps:
         with pytest.raises(ValueError, match="positions must be integers"):
             face_map(poly, ([1],))
 
+    def test_positions_are_read_once(self):
+        poly = expand(M([1]), 3)
+        assert face_map(poly, iter([1, 3])) == face_map(poly, (1, 3))
+        with pytest.raises(ValueError, match=r"got \(1, \[2\], 3\)$"):
+            face_map(poly, iter([1, [2], 3]))
+        with pytest.raises(TypeError, match="not iterable") as raised:
+            face_map(poly, 3)
+        assert raised.value.__context__ is None
+
     def test_other_sparse_types_are_refused(self):
         # a tensor's shape is an int (its arity), so only the variable count
         # keeps it from being mapped as if its keys were exponent tuples
