@@ -27,7 +27,6 @@ from .chow import (
 )
 from .compositions import (
     Composition,
-    compare_lex,
     enumerate_compositions,
     enumerate_lyndon,
     lyndon_count,
@@ -43,7 +42,6 @@ from .expansion import (
     lyndon_monomial_multisets,
     rational_rank,
     verify_lyndon_free_generation,
-    zero_insertion_holds,
 )
 from .syntax import (
     ParseError,

@@ -319,9 +319,6 @@ class QSymElement(_Sparse):
     def coefficient(self, composition: CompositionLike) -> int:
         return self._terms.get(Composition(composition), 0)
 
-    def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self._terms))) <= 1
-
     def degree(self) -> int:
         """Largest weight appearing; 0 for the zero element."""
         return max(map(sum, self._terms), default=0)
@@ -372,7 +369,7 @@ class QSymElement(_Sparse):
         """The algebra involution sending each basis index to its reversal."""
         return self._wrap({c[::-1]: v for c, v in self._terms.items()})
 
-    # -- grading and truncation --------------------------------------------
+    # -- truncation --------------------------------------------------------
 
     def truncate(self, n: int) -> "QSymElement":
         """Drop terms indexed by compositions longer than ``n``.
@@ -382,12 +379,6 @@ class QSymElement(_Sparse):
         """
         _check_count(n, "variable count")
         return self._wrap({c: v for c, v in self._terms.items() if len(c) <= n})
-
-    def homogeneous_part(self, d: int) -> "QSymElement":
-        """The sum of terms of weight exactly ``d``."""
-        if not _is_int(d):
-            raise ValueError(f"weight must be an integer, got {d!r}")
-        return self._wrap({c: v for c, v in self._terms.items() if sum(c) == d})
 
 
 monomial = QSymElement.monomial

@@ -32,9 +32,10 @@ class Composition(tuple):
 
     The weight is the sum of the parts, the length the number of parts.
     Equality, hashing and ordering are those of the underlying tuple, so a
-    composition equals the plain tuple of its parts and tuple order is
-    :func:`compare_lex`.  Tuple operators act on the parts: ``c + c`` is a
-    plain tuple and ``2 * c`` repeats the parts; use :meth:`concat`.
+    composition equals the plain tuple of its parts and orders as it does:
+    the first differing part decides, and a proper prefix comes first.  Tuple
+    operators act on the parts: ``c + c`` is a plain tuple and ``2 * c``
+    repeats the parts; use :meth:`concat`.
     """
 
     __slots__ = ()
@@ -102,15 +103,6 @@ def _coarsenings(parts: tuple[int, ...]) -> list[tuple[int, ...]]:
             out.extend([(first,) + tail for tail in tails[k + 1]])
         tails[i] = out
     return tails[0]
-
-
-def compare_lex(left: Composition, right: Composition) -> int:
-    """Total order on compositions: -1, 0, or 1.
-
-    The first differing entry decides; a proper prefix is smaller than any
-    of its extensions.  This is tuple order.
-    """
-    return (left > right) - (left < right)
 
 
 def enumerate_compositions(n: int) -> list[Composition]:

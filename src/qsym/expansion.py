@@ -267,23 +267,6 @@ def _selector(indices: list[int]):
     return itemgetter(*indices)
 
 
-def zero_insertion_holds(element: QSymElement, num_vars: int, slot: int) -> bool:
-    """Setting one variable of the larger expansion to zero recovers the
-    smaller one.
-
-    ``slot`` is the 1-based variable of the ``num_vars + 1``-variable
-    expansion to kill.  This compatibility is what makes the finite-variable
-    expansions cohere into a single limit object.
-    """
-    _check_count(num_vars, "variable count")
-    if not _is_int(slot):
-        raise ValueError(f"slot must be an integer, got {slot!r}")
-    if not 1 <= slot <= num_vars + 1:
-        raise ValueError(f"slot {slot} out of range for {num_vars + 1} variables")
-    survivors = tuple(p for p in range(1, num_vars + 2) if p != slot)
-    return face_map(expand(element, num_vars + 1), survivors) == expand(element, num_vars)
-
-
 def rational_rank(rows: list[list[Fraction]]) -> int:
     """Rank of a matrix of Fractions, by exact Gaussian elimination.
 

@@ -72,24 +72,6 @@ class TestElementBasics:
         assert QSymElement.one().degree() == 0
         assert (M([1]) + M([2, 2])).degree() == 4
 
-    def test_homogeneous_part(self):
-        f = M([1]) + 2 * M([2]) + M([1, 1])
-        assert f.homogeneous_part(2) == 2 * M([2]) + M([1, 1])
-        assert f.homogeneous_part(5).is_zero()
-        assert f.homogeneous_part(-1).is_zero()
-        total = sum((f.homogeneous_part(d) for d in range(f.degree() + 1)), QSymElement.zero())
-        assert total == f
-
-    @pytest.mark.parametrize("bad", [True, "2", 2.0, None])
-    def test_homogeneous_part_rejects_non_int_weights(self, bad):
-        with pytest.raises(ValueError, match=rf"^weight must be an integer, got {re.escape(repr(bad))}$"):
-            M([1]).homogeneous_part(bad)
-
-    def test_is_homogeneous(self):
-        assert (M([2]) + M([1, 1])).is_homogeneous()
-        assert not (M([1]) + M([2])).is_homogeneous()
-        assert QSymElement.zero().is_homogeneous()
-
     def test_hash_agrees_with_equality(self):
         assert hash(M([1]) + M([2])) == hash(M([2]) + M([1]))
 
@@ -550,10 +532,6 @@ WRAPPED = {
     "truncate": (
         lambda f, g, t, p: f.truncate(2),
         lambda f, g, t, p: QSymElement(summed((c, v) for c, v in f.terms() if len(c) <= 2)),
-    ),
-    "homogeneous_part": (
-        lambda f, g, t, p: f.homogeneous_part(2),
-        lambda f, g, t, p: QSymElement(summed((c, v) for c, v in f.terms() if sum(c) == 2)),
     ),
     "negation": (
         lambda f, g, t, p: -f,

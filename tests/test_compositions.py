@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from qsym.compositions import (
     Composition,
-    compare_lex,
     enumerate_compositions,
     enumerate_lyndon,
     lyndon_count,
@@ -93,15 +92,15 @@ class TestLexOrder:
         comps = all_compositions(5)
         for a in comps:
             for b in comps:
-                expected = (tuple(a) > tuple(b)) - (tuple(a) < tuple(b))
-                assert compare_lex(a, b) == expected
+                assert (a < b) == (tuple(a) < tuple(b))
+                assert (a == b) == (tuple(a) == tuple(b))
 
     def test_prefix_is_smaller(self):
-        assert compare_lex(Composition([1, 2]), Composition([1, 2, 1])) == -1
-        assert compare_lex(Composition([1, 2, 1]), Composition([1, 2])) == 1
+        assert Composition([1, 2]) < Composition([1, 2, 1])
+        assert Composition([1, 2, 1]) > Composition([1, 2])
 
     def test_first_difference_decides(self):
-        assert compare_lex(Composition([1, 3]), Composition([1, 2, 9])) == 1
+        assert Composition([1, 3]) > Composition([1, 2, 9])
 
     def test_rich_comparisons(self):
         assert Composition([1, 2]) < Composition([2])
@@ -114,8 +113,8 @@ class TestLexOrder:
         for a in comps:
             for b in comps:
                 for c in comps:
-                    if compare_lex(a, b) <= 0 and compare_lex(b, c) <= 0:
-                        assert compare_lex(a, c) <= 0
+                    if a <= b and b <= c:
+                        assert a <= c
 
 
 class TestCoarsenings:

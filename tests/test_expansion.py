@@ -1,6 +1,5 @@
 """Polynomial expansions, recognition, face maps, and the rank certificate."""
 
-import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -29,7 +28,6 @@ from qsym.expansion import (
     lyndon_monomial_multisets,
     rational_rank,
     verify_lyndon_free_generation,
-    zero_insertion_holds,
 )
 from qsym.syntax import format_composition, parse_qsym
 from qsym.verification import lyndon_free_checks
@@ -485,28 +483,8 @@ class TestZeroInsertion:
             f = M(comp)
             for n in range(5):
                 for slot in range(1, n + 2):
-                    assert zero_insertion_holds(f, n, slot)
-
-    def test_slot_validation(self):
-        with pytest.raises(ValueError):
-            zero_insertion_holds(M([1]), 2, 0)
-        with pytest.raises(ValueError):
-            zero_insertion_holds(M([1]), 2, 4)
-
-    @pytest.mark.parametrize("num_vars, slot, message", [
-        (2.5, 1, "variable count must be an integer, got 2.5"),
-        ("2", 1, "variable count must be an integer, got '2'"),
-        (True, 1, "variable count must be an integer, got True"),
-        (-1, 1, "variable count must be nonnegative, got -1"),
-        (2, True, "slot must be an integer, got True"),
-        (2, 1.0, "slot must be an integer, got 1.0"),
-        (2, "1", "slot must be an integer, got '1'"),
-        (2, 0, "slot 0 out of range for 3 variables"),
-        (2, 4, "slot 4 out of range for 3 variables"),
-    ])
-    def test_bad_arguments_rejected(self, num_vars, slot, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            zero_insertion_holds(M([1]), num_vars, slot)
+                    survivors = tuple(p for p in range(1, n + 2) if p != slot)
+                    assert face_map(expand(f, n + 1), survivors) == expand(f, n)
 
 
 class TestRationalRank:

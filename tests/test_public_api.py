@@ -7,7 +7,7 @@ import qsym
 
 def test_all_is_sorted_and_holds_no_module():
     assert qsym.__all__ == sorted(qsym.__all__)
-    assert len(qsym.__all__) == 49
+    assert len(qsym.__all__) == 47
     assert not any(isinstance(getattr(qsym, name), ModuleType) for name in qsym.__all__)
 
 

@@ -242,13 +242,22 @@ def test_bialgebra_counts_each_pair_once(monkeypatch):
 
 
 def test_forced_failure_names_zero_insertion_case(monkeypatch):
-    _patch(monkeypatch, "zero_insertion_holds",
-           lambda k: lambda f, n, slot: (n, slot) != (2, 1) and k(f, n, slot))
+    # (3, (2, 3)) is killing slot 1 of 3 variables, a face only zero-insertion
+    # reads at limit@2: its largest expansion in restriction has 2 variables
+    def wrong_at_first_of_three(face_map):
+        def patched(poly, kept):
+            image = face_map(poly, kept)
+            wrong = (poly.num_vars, kept) == (3, (2, 3))
+            return image + SparsePolynomial.constant(2, 1) if wrong else image
+        return patched
+
+    _patch(monkeypatch, "face_map", wrong_at_first_of_three)
     assert (_detail(verification.limit_checks(2), "zero-insertion")
             == "failed at ([], n=2, slot=1) and 3 more")
 
 
 def test_forced_failure_names_kept_variables(monkeypatch):
+    # every limit check reads face_map through this binding, so all three fail
     def wrong_at_second_variable(face_map):
         def patched(poly, kept):
             image = face_map(poly, kept)
@@ -257,7 +266,8 @@ def test_forced_failure_names_kept_variables(monkeypatch):
 
     _patch(monkeypatch, "face_map", wrong_at_second_variable)
     checks = verification.limit_checks(2)
-    assert [c.name for c in checks if c.passed] == ["zero-insertion"]
+    assert not any(c.passed for c in checks)
+    assert checks[0].detail == "failed at ([], n=1, slot=1) and 3 more"
     assert checks[1].detail == "failed at ([], keep=(2,)) and 3 more"
     assert checks[2].detail == "failed at ([], (2,), ()) and 3 more"
 
@@ -331,3 +341,20 @@ def test_oracle_expands_only_for_the_round_trip(monkeypatch):
     _patch(monkeypatch, "expand", lambda k: lambda f, n: calls.append(n) or k(f, n))
     assert all(check.passed for check in verification.oracle_checks(7))
     assert len(calls) == 2 ** 7
+
+
+@pytest.mark.parametrize("max_degree", range(6))
+def test_limit_expands_each_element_once_per_variable_count(monkeypatch, max_degree):
+    # one table per basis element, in 0..max_degree + 1 variables, read by all
+    # three checks: 2**max_degree elements of weight <= max_degree.  Both
+    # bindings count, so no expansion made inside qsym.expansion goes unseen.
+    calls, expand = [], expansion.expand
+
+    def counted(f, n):
+        calls.append(n)
+        return expand(f, n)
+
+    monkeypatch.setattr(expansion, "expand", counted)
+    monkeypatch.setattr(verification, "expand", counted)
+    assert all(check.passed for check in verification.limit_checks(max_degree))
+    assert len(calls) == (max_degree + 2) * 2 ** max_degree
