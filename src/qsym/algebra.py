@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
 from functools import partial, update_wrapper
-from itertools import product
-from math import prod
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .compositions import Composition, _check_count, _coarsenings, _composition, _is_int, _splits
@@ -440,15 +438,35 @@ class TensorElement(_Sparse):
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check_shape(other)
-        acc: dict[tuple[tuple[int, ...], ...], int] = {}
-        for key1, v1 in self._terms.items():
-            for key2, v2 in other._terms.items():
+        left, right, rows = self._terms, other._terms, _quasi_shuffle
+        if self._shape == 3:
+            # Key (a, b, c) as (a, (b, c)): the loop below multiplies the pair
+            # (b, c) as one slot, and the keys are unpacked after it.
+            left = {(key[0], key[1:]): v for key, v in left.items()}
+            right = {(key[0], key[1:]): v for key, v in right.items()}
+            rows = _pair_shuffle
+        acc: dict[tuple, int] = {}
+        for (l1, r1), v1 in left.items():
+            for (l2, r2), v2 in right.items():
                 v = v1 * v2
-                # one (composition, multiplicity) per slot in each choice
-                for choice in product(*map(_quasi_shuffle, key1, key2)):
-                    key, mults = zip(*choice)
-                    acc[key] = acc.get(key, 0) + v * prod(mults)
+                right_row = rows(r1, r2)
+                for cl, ml in _quasi_shuffle(l1, l2):
+                    vl = v * ml
+                    for cr, mr in right_row:
+                        key = (cl, cr)
+                        acc[key] = acc.get(key, 0) + vl * mr
+        if self._shape == 3:
+            acc = {(first,) + rest: v for (first, rest), v in acc.items()}
         return self._new(acc, self._shape)
+
+
+def _pair_shuffle(left: tuple, right: tuple) -> list[tuple[tuple, int]]:
+    """The quasi-shuffles of two slot pairs, slot by slot, as ((c1, c2), m1 * m2) rows."""
+    return [
+        ((c1, c2), m1 * m2)
+        for c1, m1 in _quasi_shuffle(left[0], right[0])
+        for c2, m2 in _quasi_shuffle(left[1], right[1])
+    ]
 
 
 def tensor(*factors: QSymElement) -> TensorElement:

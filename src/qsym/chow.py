@@ -32,9 +32,13 @@ def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorEl
     if not all(_is_int(b) and b >= 0 for b in bounds):
         raise ValueError(f"length bounds must be nonnegative integers, got {bounds!r}")
     terms = element._terms
-    for slot, bound in enumerate(bounds):
-        terms = {key: coeff for key, coeff in terms.items() if len(key[slot]) <= bound}
-    return element._wrap(terms, element.arity)
+    if element.arity == 3:  # the third slot first; every arity shares the filter below
+        third = bounds[2]
+        terms = {key: coeff for key, coeff in terms.items() if len(key[2]) <= third}
+    first, second = bounds[0], bounds[1]
+    return element._wrap({
+        key: coeff for key, coeff in terms.items() if len(key[0]) <= first and len(key[1]) <= second
+    }, element.arity)
 
 
 def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:

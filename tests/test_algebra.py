@@ -514,6 +514,26 @@ def test_tensor_product_agrees_with_slotwise_surjection_product(pair):
     assert all(result._terms.values())
 
 
+two_fold_terms = st.dictionaries(st.tuples(slot_compositions, slot_compositions), signed, min_size=1, max_size=3)
+
+
+@given(two_fold_terms, two_fold_terms, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_three_fold_product_with_empty_third_slots_is_the_two_fold_product(p, q, cancel):
+    # Ties the 3-fold product, which multiplies slots 2 and 3 as one pair,
+    # to the 2-fold product.
+    left, right = TensorElement(2, p), TensorElement(2, q)
+    if cancel:
+        left, right = left + right, left - right
+
+    def padded(element):
+        return TensorElement(3, {key + (Composition(),): v for key, v in element.terms()})
+
+    result = padded(left) * padded(right)
+    assert result == padded(left * right)
+    assert all(result._terms.values())
+
+
 # Every result built by ``_Sparse._wrap``, next to the same result summed term
 # by term and read through the public constructor, which drops zero sums.
 def _splits(c):

@@ -56,6 +56,23 @@ class TestTruncateTensor:
         unit = TensorElement.unit(2)
         assert truncate_tensor(unit, (0, 0)) == unit
 
+    @pytest.mark.parametrize("n1", range(5))
+    def test_pullback_keys_read_from_the_split_expansion(self, n1):
+        # A monomial of M_c in n1 + n2 variables whose two halves are packed,
+        # (p, 0, .., 0 | s, 0, .., 0), is the expansion of the pullback term
+        # M_p (x) M_s.  The expansion shares no code with truncate_tensor, so
+        # a truncation that keeps a term too long for its slot fails here.
+        for n2 in range(5):
+            for comp in all_compositions(5):
+                f = M(comp)
+                expected = {}
+                for exps, coeff in expand(f, n1 + n2)._terms.items():
+                    first, second = exps[:n1], exps[n1:]
+                    p, s = tuple(filter(None, first)), tuple(filter(None, second))
+                    if first[: len(p)] == p and second[: len(s)] == s:
+                        expected[p, s] = coeff
+                assert gluing_pullback(f, n1, n2)._terms == expected, (comp, n1, n2)
+
 
 class TestGluingPullback:
     def test_example(self):
@@ -301,3 +318,42 @@ def test_gluing_splits_the_variables(f, n1, n2):
             glued[left + right] = glued.get(left + right, 0) + coeff * a * b
     assert {k: v for k, v in glued.items() if v} == dict(expand(f, n1 + n2).terms())
     assert gluing_matches_coproduct(f)
+
+
+slot_compositions = st.lists(st.integers(1, 3), max_size=4).map(Composition)
+signed = st.integers(-3, 3).filter(bool)
+
+
+@st.composite
+def tensors_with_bounds(draw, arity=st.sampled_from([2, 3])):
+    """A signed tensor of arity 2 or 3 and one length bound per slot."""
+    arity = draw(arity)
+    terms = draw(st.dictionaries(st.tuples(*[slot_compositions] * arity), signed, max_size=8))
+    return TensorElement(arity, terms), draw(st.lists(st.integers(0, 4), min_size=arity, max_size=arity))
+
+
+@given(tensors_with_bounds(), st.sampled_from(["tuple", "list", "generator"]))
+@settings(max_examples=100, deadline=None)
+def test_truncation_keeps_exactly_the_terms_that_fit(case, form):
+    element, bounds = case
+    expected = {
+        key: coeff for key, coeff in element.terms() if all(len(c) <= b for c, b in zip(key, bounds))
+    }
+    passed = {"tuple": tuple, "list": list, "generator": lambda b: (x for x in b)}[form](bounds)
+    result = truncate_tensor(element, passed)
+    assert result.arity == element.arity
+    assert dict(result.terms()) == expected
+
+
+@given(tensors_with_bounds(arity=st.just(2)))
+@settings(max_examples=100, deadline=None)
+def test_three_fold_truncation_with_a_zero_third_bound_is_the_two_fold_one(case):
+    # Ties the 3-fold truncation, which filters its third slot first, to the
+    # 2-fold one: an empty third slot fits a bound of 0, anything else fails it.
+    element, bounds = case
+    padded = TensorElement(3, {key + (Composition(),): v for key, v in element.terms()})
+    longer = TensorElement(3, {key + (Composition([1]),): v for key, v in element.terms()})
+    expected = {key + (Composition(),): v for key, v in truncate_tensor(element, bounds).terms()}
+    assert dict(truncate_tensor(padded, (*bounds, 0)).terms()) == expected
+    assert truncate_tensor(padded + longer, (*bounds, 0)) == TensorElement(3, expected)
+
