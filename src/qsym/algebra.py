@@ -11,7 +11,9 @@ Operations key results by plain int tuples, which the collector can untrack;
 Constructed and parsed elements keep :class:`Composition` keys, equal to their tuples.
 
 Each tensor-slot operation has one body: :func:`coproduct_at`, :func:`counit_at`
-and :func:`tensor`.  The names per slot and arity (``coproduct_first``,
+and :func:`tensor`.  The tensor product runs a row-by-row kernel loop for the
+2-fold products the checks make, and computes a 3-fold product slot by slot,
+by its definition.  The names per slot and arity (``coproduct_first``,
 ``triple_tensor``, ...) stay bound to them: they are public, and the Hopf checks
 call them by name, so tracing that patches those names sees the calls.
 """
@@ -106,8 +108,6 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
     dict's items, in no particular order, with the keys still plain tuples.
     Memoised whole by :class:`_Memo`; callers must not mutate the result.
     """
-    if not left or not right:
-        return ((tuple(left or right), 1),)
     n = len(right)
     below = [{right[j:]: 1} for j in range(n + 1)]  # the row of the empty left suffix
     for i in range(len(left) - 1, -1, -1):
@@ -392,7 +392,9 @@ class TensorElement(_Sparse):
 
     Keys are tuples of compositions (int tuples once built by an operation)
     of a fixed arity (2 or 3).  The product is componentwise quasi-shuffle;
-    adding or multiplying elements of different arity is an error.
+    adding or multiplying elements of different arity is an error.  A 3-fold
+    product is computed slot by slot, as ``v1 v2 (M_a M_a') (x) (M_b M_b') (x)
+    (M_c M_c')`` summed over the pairs of terms.
     """
 
     __slots__ = ()
@@ -438,35 +440,27 @@ class TensorElement(_Sparse):
         if not isinstance(other, TensorElement):
             return NotImplemented
         self._check_shape(other)
-        left, right, rows = self._terms, other._terms, _quasi_shuffle
-        if self._shape == 3:
-            # Key (a, b, c) as (a, (b, c)): the loop below multiplies the pair
-            # (b, c) as one slot, and the keys are unpacked after it.
-            left = {(key[0], key[1:]): v for key, v in left.items()}
-            right = {(key[0], key[1:]): v for key, v in right.items()}
-            rows = _pair_shuffle
+        left, right = self._terms, other._terms
         acc: dict[tuple, int] = {}
+        if self._shape == 3:
+            # By the definition, slot by slot: no check multiplies 3-fold tensors.
+            for k1, v1 in left.items():
+                for k2, v2 in right.items():
+                    v = v1 * v2
+                    slots = [QSymElement._wrap({a: 1}) * QSymElement._wrap({b: 1}) for a, b in zip(k1, k2)]
+                    for key, m in tensor(*slots)._terms.items():
+                        acc[key] = acc.get(key, 0) + v * m
+            return self._new(acc, 3)
         for (l1, r1), v1 in left.items():
             for (l2, r2), v2 in right.items():
                 v = v1 * v2
-                right_row = rows(r1, r2)
+                right_row = _quasi_shuffle(r1, r2)
                 for cl, ml in _quasi_shuffle(l1, l2):
                     vl = v * ml
                     for cr, mr in right_row:
                         key = (cl, cr)
                         acc[key] = acc.get(key, 0) + vl * mr
-        if self._shape == 3:
-            acc = {(first,) + rest: v for (first, rest), v in acc.items()}
-        return self._new(acc, self._shape)
-
-
-def _pair_shuffle(left: tuple, right: tuple) -> list[tuple[tuple, int]]:
-    """The quasi-shuffles of two slot pairs, slot by slot, as ((c1, c2), m1 * m2) rows."""
-    return [
-        ((c1, c2), m1 * m2)
-        for c1, m1 in _quasi_shuffle(left[0], right[0])
-        for c2, m2 in _quasi_shuffle(left[1], right[1])
-    ]
+        return self._new(acc, 2)
 
 
 def tensor(*factors: QSymElement) -> TensorElement:

@@ -10,7 +10,6 @@ involution that swaps the roles of the two marked points upstairs.
 
 from __future__ import annotations
 
-from itertools import product
 from math import comb
 from typing import Iterable, Mapping
 
@@ -63,19 +62,27 @@ def gluing_matches_coproduct(element: QSymElement) -> bool:
     ``p (x) s``, of ``p`` expanded in the first ``n1`` variables times ``s`` in
     the last ``n2``; no two terms of that sum meet.  Expansion shares no code
     with the coproduct, so a wrong, missing or extra term that fits fails.  A
-    term with more than ``d`` parts in all fits no split, so it fails first.
+    kept term too long for its slot has no placement there, so it fails the
+    split: the truncation must drop it.  A term with more than ``d`` parts in
+    all fits no split, so it fails first.
     """
     d = element.degree()
     delta = element.coproduct()
     full = expand(element, d)._terms
-    return all(len(p) + len(s) <= d for p, s in delta._terms) and all(
-        full == {
-            left + right: coeff
-            for (p, s), coeff in truncate_tensor(delta, (n1, d - n1))._terms.items()
-            for left, right in product(_basis_expansion(p, n1), _basis_expansion(s, d - n1))
-        }
-        for n1 in range(d + 1)
-    )
+    if any(len(p) + len(s) > d for p, s in delta._terms):
+        return False
+    for n1 in range(d + 1):
+        placed = {}
+        for (p, s), coeff in truncate_tensor(delta, (n1, d - n1))._terms.items():
+            lefts, rights = _basis_expansion(p, n1), _basis_expansion(s, d - n1)
+            if not (lefts and rights):
+                return False
+            for left in lefts:
+                for right in rights:
+                    placed[left + right] = coeff
+        if placed != full:
+            return False
+    return True
 
 
 def deep_stratum_class(d: int) -> QSymElement:

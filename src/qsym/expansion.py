@@ -118,11 +118,8 @@ def _basis_expansion(parts: tuple[int, ...], num_vars: int) -> tuple[tuple[int, 
     One tuple per strictly increasing placement of the parts; all carry
     coefficient 1, so only the exponent tuples are stored.
     """
-    length = len(parts)
-    if length > num_vars:
-        return ()
     out = []
-    for positions in combinations(range(num_vars), length):
+    for positions in combinations(range(num_vars), len(parts)):
         exps = [0] * num_vars
         for pos, part in zip(positions, parts):
             exps[pos] = part

@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from qsym import expansion, verification
+from qsym import algebra, chow, expansion, verification
 from qsym.algebra import QSymElement, TensorElement
 from qsym.chow import gluing_matches_coproduct
 from qsym.compositions import lyndon_count
@@ -210,6 +210,15 @@ def test_gluing_coproduct_fails_on_an_overlong_term(monkeypatch):
     assert _detail(verification.mu_checks(4), "gluing-coproduct") == "failed at [3]"
 
 
+def test_gluing_coproduct_fails_on_an_overlong_truncation(monkeypatch):
+    # A kept half one part too long for its slot has no placement there: at
+    # the 0+1 split of [1], the kept [1] (x) [] needs a variable in slot 0.
+    # gluing-multiplicative reads verification's binding, which stays exact.
+    truncate = chow.truncate_tensor
+    monkeypatch.setattr(chow, "truncate_tensor", lambda t, bounds: truncate(t, [b + 1 for b in bounds]))
+    assert _detail(verification.mu_checks(3), "gluing-coproduct") == "failed at [1] and 6 more"
+
+
 def test_lyndon_free_fails_on_a_miscounted_shuffle_lead(monkeypatch):
     # one interleaving too many for every state of two or more words, so only
     # the single Lyndon factors count; [1]^w is each weight's first product
@@ -358,3 +367,92 @@ def test_limit_expands_each_element_once_per_variable_count(monkeypatch, max_deg
     monkeypatch.setattr(verification, "expand", counted)
     assert all(check.passed for check in verification.limit_checks(max_degree))
     assert len(calls) == (max_degree + 2) * 2 ** max_degree
+
+
+# -- the mutation matrix ---------------------------------------------------------
+
+def _drop_last_term(mul):
+    """A 2-fold tensor product that loses one term of every product."""
+    def dropped(self, other):
+        product = mul(self, other)
+        if isinstance(other, TensorElement) and self.arity == 2 and len(product) > 1:
+            return TensorElement._wrap(dict(list(product._terms.items())[:-1]), 2)
+        return product
+    return dropped
+
+
+# Each entry breaks one paper map or kernel, patched where the checks read it,
+# and names checks that run_all() at the default bounds must then fail.
+MUTATIONS = {
+    "quasi-shuffle-extra-term": (
+        [(algebra, "_quasi_shuffle")],
+        lambda k: lambda a, b: k(a, b) + (((1, 1, 1), 1),) if (a, b) == ((1,), (1,)) else k(a, b),
+        {"bialgebra", "antipode", "product-expansion", "gluing-multiplicative",
+         "involution-squared", "involution-multiplicative"},
+    ),
+    "coproduct-dropped-cut": (  # drops [] (x) c for every two-part c
+        [(QSymElement, "coproduct")],
+        lambda k: lambda f: TensorElement._wrap(
+            {key: v for key, v in k(f)._terms.items() if key[0] or len(key[1]) != 2}, 2),
+        {"coassociativity", "counit", "gluing-coproduct", "deep-stratum"},
+    ),
+    "antipode-unsigned": (
+        [(QSymElement, "antipode")],
+        lambda k: lambda f: QSymElement._new({c: abs(v) for c, v in k(f)._terms.items()}),
+        {"antipode"},
+    ),
+    "reversal-rotated": (
+        [(QSymElement, "reverse_indices")],
+        lambda k: lambda f: QSymElement._wrap({c[1:] + c[:1]: v for c, v in f._terms.items()}),
+        {"reversal-involution", "reversal-multiplicative",
+         "involution-squared", "involution-multiplicative"},
+    ),
+    "expand-dropped-placement": (
+        [(verification, "expand")],
+        lambda k: lambda f, n: SparsePolynomial._wrap(dict(list(k(f, n)._terms.items())[1:]), n),
+        {"zero-insertion", "restriction", "expansion-round-trip"},
+    ),
+    "face-map-wrong-coefficient": (
+        [(verification, "face_map")],
+        lambda k: lambda poly, kept: 2 * k(poly, kept) if kept == (1,) else k(poly, kept),
+        {"zero-insertion", "restriction", "restriction-composition"},
+    ),
+    "packed-product-wrong-coefficient": (
+        [(verification, "_packed_product")],
+        lambda k: lambda a, b: {c: v + (c == (1, 1, 1)) for c, v in k(a, b).items()},
+        {"product-expansion"},
+    ),
+    "tensor-product-dropped-term": (
+        [(TensorElement, "__mul__")],
+        _drop_last_term,
+        {"bialgebra", "gluing-multiplicative"},
+    ),
+    "truncation-one-part-longer": (
+        [(chow, "truncate_tensor"), (verification, "truncate_tensor")],
+        lambda k: lambda t, bounds: k(t, [b + 1 for b in bounds]),
+        {"gluing-coproduct"},
+    ),
+}
+
+
+@pytest.mark.parametrize("targets, mutate, expected", MUTATIONS.values(), ids=list(MUTATIONS))
+def test_mutation_fails_the_named_checks(monkeypatch, targets, mutate, expected):
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    failed = {c.name for checks in run_all().values() for c in checks if not c.passed}
+    assert expected <= failed
+
+
+def test_no_check_multiplies_three_fold_tensors(monkeypatch):
+    # The 3-fold product is computed by its definition, slot by slot, with no
+    # fast body: a check that multiplies cubes should reopen that choice.
+    arities, mul = [], TensorElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TensorElement):
+            arities.append(self.arity)
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", counted)
+    assert all(c.passed for checks in run_all().values() for c in checks)
+    assert arities and set(arities) == {2}
