@@ -44,36 +44,39 @@ def gluing_pullback(element: QSymElement, n1: int, n2: int) -> TensorElement:
     """Pull a class back along the map gluing two curves at marked points.
 
     The target keeps ``n1`` variables in the first slot and ``n2`` in the
-    second: each basis term splits over all prefix/suffix cuts, and cuts
-    whose halves are too long for their slot die in the quotient.
+    second: each basis term splits over its prefix/suffix cuts, and a cut
+    whose halves are too long for their slots dies in the quotient, so only
+    the cuts that fit are built.  The pullback into ``(d, d)`` variables,
+    ``d`` the degree, is the deconcatenation coproduct.
     """
     if not (_is_int(n1) and _is_int(n2)):
         raise ValueError(f"variable counts must be integers, got {n1!r}, {n2!r}")
     if n1 < 0 or n2 < 0:
         raise ValueError(f"variable counts must be nonnegative, got {n1}, {n2}")
-    return truncate_tensor(element.coproduct(), (n1, n2))
+    # A cut determines its composition, so no key is reached twice.
+    return TensorElement._wrap({(comp[:k], comp[k:]): coeff for comp, coeff in element._terms.items()
+                                for k in range(max(0, len(comp) - n2), min(len(comp), n1) + 1)}, 2)
 
 
 def gluing_matches_coproduct(element: QSymElement) -> bool:
-    """Whether the gluing pullbacks agree with the coproduct as polynomials.
+    """Whether the gluing pullbacks assemble into the coproduct as polynomials.
 
-    For each split of the total weight ``d`` as ``n1 + n2``, the expansion in
+    The pullback into ``(d, d)`` variables, ``d`` the total weight, must be
+    the coproduct.  For each split of ``d`` as ``n1 + n2``, the expansion in
     ``d`` ordered variables must be the sum, over the pullback's terms
     ``p (x) s``, of ``p`` expanded in the first ``n1`` variables times ``s`` in
     the last ``n2``; no two terms of that sum meet.  Expansion shares no code
-    with the coproduct, so a wrong, missing or extra term that fits fails.  A
+    with the pullback, so a wrong, missing or extra term that fits fails.  A
     kept term too long for its slot has no placement there, so it fails the
-    split: the truncation must drop it.  A term with more than ``d`` parts in
-    all fits no split, so it fails first.
+    split: the pullback must drop it.
     """
     d = element.degree()
-    delta = element.coproduct()
-    full = expand(element, d)._terms
-    if any(len(p) + len(s) > d for p, s in delta._terms):
+    if gluing_pullback(element, d, d) != element.coproduct():
         return False
+    full = expand(element, d)._terms
     for n1 in range(d + 1):
         placed = {}
-        for (p, s), coeff in truncate_tensor(delta, (n1, d - n1))._terms.items():
+        for (p, s), coeff in gluing_pullback(element, n1, d - n1)._terms.items():
             lefts, rights = _basis_expansion(p, n1), _basis_expansion(s, d - n1)
             if not (lefts and rights):
                 return False

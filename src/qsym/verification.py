@@ -30,6 +30,7 @@ from .chow import (
     BetaElement,
     deep_stratum_class,
     gluing_matches_coproduct,
+    gluing_pullback,
     marked_point_involution,
     truncate_tensor,
 )
@@ -233,20 +234,16 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
 def mu_checks(max_degree: int = 6) -> list[Check]:
     """The gluing pullback against the deconcatenation coproduct."""
 
-    # A pullback truncates a coproduct: build each once, truncate it per n1.
-    coproducts = {comp: f.coproduct() for comp, f in _basis(max_degree - 1)}
-
     def splits():
         for a, b, fa, fb in _pairs(max_degree - 1):
-            product = (fa * fb).coproduct()
+            product = fa * fb
             total = a.weight + b.weight
             for n1 in range(total + 1):
-                yield a, b, n1, total - n1, coproducts[a], coproducts[b], product
+                yield a, b, n1, total - n1, fa, fb, product
 
-    def pullback_multiplicative(a, b, n1, n2, delta_a, delta_b, delta_ab):
-        bounds = (n1, n2)
-        product = truncate_tensor(delta_a, bounds) * truncate_tensor(delta_b, bounds)
-        return truncate_tensor(delta_ab, bounds) == truncate_tensor(product, bounds)
+    def pullback_multiplicative(a, b, n1, n2, fa, fb, fab):
+        product = gluing_pullback(fa, n1, n2) * gluing_pullback(fb, n1, n2)
+        return gluing_pullback(fab, n1, n2) == truncate_tensor(product, (n1, n2))
 
     def stratum_splits(d):
         return deep_stratum_class(d).coproduct() == TensorElement(2, {
@@ -281,16 +278,16 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
         return map_slot(map_slot(f.coproduct(), 0, reverse), 1, reverse) != reverse(f).coproduct()
 
     witness = next((comp for comp, f in _basis(3) if reversal_twists(f)), None)
-    generators = [
-        BetaElement({k: f})
-        for comp, f in basis
-        for k in range(max_degree + 1 - comp.weight)
-    ]
-
+    powers = [(comp, f, k) for comp, f in basis for k in range(max_degree + 1 - comp.weight)]
+    generators = [BetaElement({k: f}) for comp, f, k in powers]
     images = [marked_point_involution(g) for g in generators]
+    # beta -> M_[1] - beta alone is a ring involution too: pin the reversal on each M_c
+    reversals = [BetaElement({0: QSymElement.monomial(comp[::-1])}) if k == 0 else None
+                 for comp, f, k in powers]
 
-    def involutive(g, image):
-        return marked_point_involution(image) == g and image.total_degree() == g.total_degree()
+    def involutive(g, image, reversal):
+        return (marked_point_involution(image) == g and image.total_degree() == g.total_degree()
+                and (reversal is None or image == reversal))
 
     degrees = [g.total_degree() for g in generators]
     generator_pairs = (
@@ -314,10 +311,10 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
             if witness is not None
             else "no witness found through weight 3",
         ),
-        _sweep("involution-squared", zip(generators, images), involutive,
+        _sweep("involution-squared", zip(generators, images, reversals), involutive,
                "the marked-point involution squares to the identity and preserves degree"
                " on {} generators",
-               lambda g, image: format_beta(g)),
+               lambda g, image, reversal: format_beta(g)),
         _sweep("involution-multiplicative", generator_pairs,
                lambda g, h, image_g, image_h: marked_point_involution(g * h) == image_g * image_h,
                "the marked-point involution is a ring map on {} generator pairs",

@@ -25,7 +25,7 @@ from qsym.algebra import (
     tensor,
     triple_tensor,
 )
-from qsym.chow import BetaElement, truncate_tensor
+from qsym.chow import BetaElement, gluing_pullback, truncate_tensor
 from qsym.compositions import Composition, enumerate_compositions, enumerate_lyndon
 from qsym.expansion import SparsePolynomial, expand, face_map, from_polynomial
 from reference_impls import surjection_product
@@ -523,8 +523,8 @@ two_fold_terms = st.dictionaries(st.tuples(slot_compositions, slot_compositions)
 @given(two_fold_terms, two_fold_terms, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_three_fold_product_with_empty_third_slots_is_the_two_fold_product(p, q, cancel):
-    # Ties the 3-fold product, which multiplies slots 2 and 3 as one pair,
-    # to the 2-fold product.
+    # Ties the 3-fold product, computed slot by slot by its definition, to
+    # the 2-fold product's loop.
     left, right = TensorElement(2, p), TensorElement(2, q)
     if cancel:
         left, right = left + right, left - right
@@ -596,6 +596,12 @@ WRAPPED = {
         lambda f, g, t, p: truncate_tensor(t, (1, 2)),
         lambda f, g, t, p: TensorElement(2, summed(
             (key, v) for key, v in t.terms() if len(key[0]) <= 1 and len(key[1]) <= 2
+        )),
+    ),
+    "gluing_pullback": (
+        lambda f, g, t, p: gluing_pullback(f, 1, 2),
+        lambda f, g, t, p: TensorElement(2, summed(
+            ((c[:k], c[k:]), v) for c, v in f.terms() for k in range(len(c) + 1) if k <= 1 and len(c) - k <= 2
         )),
     ),
     "face_map": (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qsym import chow
 from qsym.algebra import QSymElement, TensorElement, monomial, tensor
 from qsym.chow import (
     BetaElement,
@@ -60,8 +61,8 @@ class TestTruncateTensor:
     def test_pullback_keys_read_from_the_split_expansion(self, n1):
         # A monomial of M_c in n1 + n2 variables whose two halves are packed,
         # (p, 0, .., 0 | s, 0, .., 0), is the expansion of the pullback term
-        # M_p (x) M_s.  The expansion shares no code with truncate_tensor, so
-        # a truncation that keeps a term too long for its slot fails here.
+        # M_p (x) M_s.  The expansion shares no code with gluing_pullback, so
+        # a pullback that keeps a term too long for its slot fails here.
         for n2 in range(5):
             for comp in all_compositions(5):
                 f = M(comp)
@@ -86,6 +87,17 @@ class TestGluingPullback:
         for comp in all_compositions(5):
             f = M(comp)
             assert gluing_pullback(f, comp.weight, comp.weight) == f.coproduct()
+
+    def test_builds_only_the_cuts_that_fit(self, monkeypatch):
+        # no coproduct is built and no truncation filters one
+        def refused(*args):
+            raise AssertionError("coproduct or truncation")
+
+        monkeypatch.setattr(QSymElement, "coproduct", refused)
+        monkeypatch.setattr(chow, "truncate_tensor", refused)
+        expected = tensor(M([1]), M([2, 3])) + tensor(M([]), M([4])) + tensor(M([4]), M([]))
+        assert gluing_pullback(M([1, 2, 3]) + M([4]), 1, 2) == expected
+        assert gluing_pullback(M([1, 2, 3]), 1, 1).is_zero()
 
     def test_linear(self):
         f, g = M([1, 2]), M([3])

@@ -6,7 +6,7 @@ import pytest
 
 from qsym import algebra, chow, expansion, verification
 from qsym.algebra import QSymElement, TensorElement
-from qsym.chow import gluing_matches_coproduct
+from qsym.chow import BetaElement, gluing_matches_coproduct
 from qsym.compositions import lyndon_count
 from qsym.expansion import SparsePolynomial
 from qsym.verification import DEFAULT_DEGREES, SUITES, Check, run_all, run_suite
@@ -199,7 +199,8 @@ def test_gluing_coproduct_fails_on_a_broken_coproduct(monkeypatch):
 
 def test_gluing_coproduct_fails_on_an_overlong_term(monkeypatch):
     # [1,1,1] (x) [1,1,1] has six parts, more than the three variables M[3]
-    # expands in, so it would expand to zero at every split
+    # expands in: no pullback keeps it, so the pullback into (3, 3) variables
+    # is not this coproduct
     coproduct, target = QSymElement.coproduct, QSymElement.monomial([3])
     extra = TensorElement(2, {((1, 1, 1), (1, 1, 1)): 1})
     monkeypatch.setattr(
@@ -214,9 +215,11 @@ def test_gluing_coproduct_fails_on_an_overlong_truncation(monkeypatch):
     # A kept half one part too long for its slot has no placement there: at
     # the 0+1 split of [1], the kept [1] (x) [] needs a variable in slot 0.
     # gluing-multiplicative reads verification's binding, which stays exact.
-    truncate = chow.truncate_tensor
-    monkeypatch.setattr(chow, "truncate_tensor", lambda t, bounds: truncate(t, [b + 1 for b in bounds]))
-    assert _detail(verification.mu_checks(3), "gluing-coproduct") == "failed at [1] and 6 more"
+    pullback = chow.gluing_pullback
+    monkeypatch.setattr(chow, "gluing_pullback", lambda f, n1, n2: pullback(f, n1 + 1, n2 + 1))
+    checks = verification.mu_checks(3)
+    assert _detail(checks, "gluing-coproduct") == "failed at [1] and 6 more"
+    assert [c.name for c in checks if not c.passed] == ["gluing-coproduct"]
 
 
 def test_lyndon_free_fails_on_a_miscounted_shuffle_lead(monkeypatch):
@@ -282,8 +285,8 @@ def test_forced_failure_names_kept_variables(monkeypatch):
 
 
 def test_forced_failure_names_gluing_split(monkeypatch):
-    # Every truncation goes through this binding, so a doubled one makes both
-    # sides of the 1+1 split differ by a factor of four.
+    # Only the product of the pullbacks is truncated, through this binding, so
+    # a doubled truncation doubles that side of the 1+1 split.
     _patch(monkeypatch, "truncate_tensor",
            lambda k: lambda t, sizes: 2 * k(t, sizes) if sizes == (1, 1) else k(t, sizes))
     assert (_detail(verification.mu_checks(3), "gluing-multiplicative")
@@ -427,10 +430,26 @@ MUTATIONS = {
         _drop_last_term,
         {"bialgebra", "gluing-multiplicative"},
     ),
-    "truncation-one-part-longer": (
+    "truncation-one-part-longer": (  # only the product of the pullbacks is truncated
         [(chow, "truncate_tensor"), (verification, "truncate_tensor")],
         lambda k: lambda t, bounds: k(t, [b + 1 for b in bounds]),
-        {"gluing-coproduct"},
+        {"gluing-multiplicative"},
+    ),
+    "pullback-one-part-longer": (
+        [(chow, "gluing_pullback"), (verification, "gluing_pullback")],
+        lambda k: lambda f, n1, n2: k(f, n1 + 1, n2 + 1),
+        {"gluing-coproduct", "gluing-multiplicative"},
+    ),
+    "pullback-dropped-cut": (  # drops [] (x) c for every two-part c
+        [(chow, "gluing_pullback"), (verification, "gluing_pullback")],
+        lambda k: lambda f, n1, n2: TensorElement._wrap(
+            {key: v for key, v in k(f, n1, n2)._terms.items() if key[0] or len(key[1]) != 2}, 2),
+        {"gluing-coproduct", "gluing-multiplicative"},
+    ),
+    "involution-without-reversal": (  # reversing the coefficients first undoes it
+        [(chow, "marked_point_involution"), (verification, "marked_point_involution")],
+        lambda k: lambda g: k(BetaElement({p: v.reverse_indices() for p, v in g.terms()})),
+        {"involution-squared"},
     ),
 }
 
