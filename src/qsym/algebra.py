@@ -132,9 +132,10 @@ class _Sparse:
     An element is a dict from keys to nonzero coefficients plus a shape
     (tensor arity, variable count, or None) that operands must share.  This
     base owns +, -, integer scaling, ==, hash, bool, len and the canonical
-    order of :meth:`terms`.  Each subclass supplies its constructor
-    validation, its lift of scalars, its own product and ``_order``: the
-    canonical order of its keys, as a list.
+    order of :meth:`terms`, and :meth:`coefficient`.  Each subclass supplies
+    ``_key``, the one check of a public key, which both the constructor and
+    :meth:`coefficient` apply; its lift of scalars; its own product; and
+    ``_order``: the canonical order of its keys, as a list.
 
     Internal results are built by :meth:`_new`, which drops zero
     coefficients, or by :meth:`_wrap`, which stores the dict it is given.
@@ -155,9 +156,10 @@ class _Sparse:
             raise ValueError(f"coefficients must be integers, got {value!r}")
         return value
 
-    def _store(self, shape, terms: Mapping | None, key: Callable) -> None:
+    def _store(self, shape, terms: Mapping | None) -> None:
         """Validate public constructor input: every key and every coefficient."""
         self._shape = shape
+        key = self._key
         clean = {}
         for k, v in (terms or {}).items():
             k, v = key(k), self._coefficient(v)
@@ -202,6 +204,10 @@ class _Sparse:
         their public type; the printers read :meth:`_items` and pay no wrap.
         """
         return self._items(self._public)
+
+    def coefficient(self, key) -> int:
+        """The coefficient of ``key``, checked as the constructor checks it; 0 if absent."""
+        return self._terms.get(self._key(key), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -277,10 +283,11 @@ class QSymElement(_Sparse):
     __slots__ = ()
 
     _SCALAR_KEY = _EMPTY
+    _key = Composition
     _public = partial(map, _composition)
 
     def __init__(self, terms: Mapping[Composition, int] | None = None):
-        self._store(None, terms, Composition)
+        self._store(None, terms)
 
     @staticmethod
     def _order(comps: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -313,9 +320,6 @@ class QSymElement(_Sparse):
         return cls({_EMPTY: n})
 
     # -- inspection --------------------------------------------------------
-
-    def coefficient(self, composition: CompositionLike) -> int:
-        return self._terms.get(Composition(composition), 0)
 
     def degree(self) -> int:
         """Largest weight appearing; 0 for the zero element."""
@@ -404,13 +408,12 @@ class TensorElement(_Sparse):
 
     def __init__(self, arity: int, terms: Mapping[tuple, int] | None = None):
         _check_arity(arity)
+        self._store(arity, terms)
 
-        def factors(key) -> tuple[Composition, ...]:
-            if len(key) != arity:
-                raise ValueError(f"tensor key {key!r} does not have arity {arity}")
-            return tuple(Composition(c) for c in key)
-
-        self._store(arity, terms, factors)
+    def _key(self, key) -> tuple[Composition, ...]:
+        if len(key) != self._shape:
+            raise ValueError(f"tensor key {key!r} does not have arity {self._shape}")
+        return tuple(Composition(c) for c in key)
 
     @staticmethod
     def _order(keys: Iterable[tuple[tuple[int, ...], ...]]) -> list[tuple[tuple[int, ...], ...]]:
@@ -425,9 +428,6 @@ class TensorElement(_Sparse):
     def unit(cls, arity: int = 2) -> "TensorElement":
         _check_arity(arity)
         return cls._wrap({(_EMPTY,) * arity: 1}, arity)
-
-    def coefficient(self, key: Iterable[CompositionLike]) -> int:
-        return self._terms.get(tuple(Composition(c) for c in key), 0)
 
     def __repr__(self) -> str:
         from .syntax import format_tensor

@@ -116,9 +116,10 @@ class BetaElement(_Sparse):
     __slots__ = ()
 
     _SCALAR_KEY = 0
+    _key = staticmethod(_beta_power)
 
     def __init__(self, coeffs: Mapping[int, QSymElement] | None = None):
-        self._store(None, coeffs, _beta_power)
+        self._store(None, coeffs)
 
     @staticmethod
     def _order(powers: Iterable[int]) -> list[int]:

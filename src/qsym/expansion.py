@@ -54,18 +54,18 @@ class SparsePolynomial(_Sparse):
         if not _is_int(num_vars) or num_vars < 0:
             raise ValueError(f"variable count must be a nonnegative integer, got {num_vars!r}")
 
-        def exponents(exps) -> tuple[int, ...]:
-            exps = tuple(exps)
-            if len(exps) != num_vars:
-                raise ValueError(f"exponent tuple {exps!r} does not match {num_vars} variables")
-            for e in exps:
-                if not _is_int(e):
-                    raise ValueError(f"exponents must be integers, got {e!r} in {exps!r}")
-                if e < 0:
-                    raise ValueError(f"negative exponent in {exps!r}")
-            return exps
+        self._store(num_vars, terms)
 
-        self._store(num_vars, terms, exponents)
+    def _key(self, exps) -> tuple[int, ...]:
+        exps = tuple(exps)
+        if len(exps) != self._shape:
+            raise ValueError(f"exponent tuple {exps!r} does not match {self._shape} variables")
+        for e in exps:
+            if not _is_int(e):
+                raise ValueError(f"exponents must be integers, got {e!r} in {exps!r}")
+            if e < 0:
+                raise ValueError(f"negative exponent in {exps!r}")
+        return exps
 
     @staticmethod
     def _order(keys: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -84,9 +84,6 @@ class SparsePolynomial(_Sparse):
     def constant(cls, num_vars: int, value: int) -> "SparsePolynomial":
         cls(num_vars)  # rejects a bad variable count before the key is built
         return cls(num_vars, {(0,) * num_vars: value})
-
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        return self._terms.get(tuple(exps), 0)
 
     def degree(self) -> int:
         """Largest total degree appearing; 0 for the zero polynomial."""

@@ -2,18 +2,19 @@
 
 Each suite sweeps every basis element (or pair) up to a weight bound and
 returns one :class:`Check` per property.  The bounds are arguments so the
-command line can push them higher; the defaults keep every suite under a few
-seconds while still covering all compositions of the stated weights.
+command line can push them higher; at the defaults no suite takes more than a
+few tens of milliseconds, and each covers all compositions of the stated weights.
 
-Every swept check runs through :func:`_sweep`, over rows that carry their
-basis elements: :func:`_basis` builds each ``M_c`` once.  The number in a
-detail is the number of cases swept; a failure names the first failing case
-and counts the rest ("failed at ([], [1]) and 7 more").
+Every swept check runs through :func:`_sweep`, over one table of rows per
+suite, built once: a row carries what its checks share (``M_c``, ``D M_c``,
+an involution image), and :func:`_pairs` reads the suite's own :func:`_basis`.
+The number in a detail is the number of cases swept; a failure names the
+first failing case and counts the rest ("failed at ([], [1]) and 7 more").
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .algebra import (
@@ -62,14 +63,14 @@ def _basis(max_degree: int) -> list[tuple[Composition, QSymElement]]:
     return [(comp, QSymElement.monomial(comp)) for comp in comps]
 
 
-def _pairs(max_total: int) -> Iterator[tuple[Composition, Composition, QSymElement, QSymElement]]:
-    """``(a, b, M_a, M_b)`` for basis pairs of total weight <= ``max_total``, by ``a`` then ``b``.
+def _pairs(basis: list[tuple[Composition, QSymElement]]) -> Iterator[tuple]:
+    """``(a, b, M_a, M_b)`` for pairs of ``_basis(w)`` of total weight <= w, by ``a`` then ``b``.
 
-    ``_basis`` runs by weight and has 2**w compositions of weight at most w,
-    so the partners of ``a`` are its first 2**(max_total - a.weight).
+    The 2**w rows run by weight, 2**v of them of weight at most v, so the
+    partners of ``a`` are the first ``len(basis) >> a.weight``.  The first half
+    of ``_basis(w)`` is ``_basis(w - 1)``.
     """
-    basis = _basis(max_total)
-    return ((a, b, fa, fb) for a, fa in basis for b, fb in basis[: 2 ** (max_total - a.weight)])
+    return ((a, b, fa, fb) for a, fa in basis for b, fb in basis[: len(basis) >> a.weight])
 
 
 _pair_label = "({}, {})".format
@@ -105,13 +106,12 @@ def _sweep(
 def hopf_checks(max_degree: int = 6) -> list[Check]:
     """Coassociativity, counit, bialgebra, antipode, and involutivity sweeps."""
     basis = _basis(max_degree)
+    rows = [(comp, f, f.coproduct()) for comp, f in basis]
 
-    def coassociative(comp, f):
-        delta = f.coproduct()
+    def coassociative(comp, f, delta):
         return coproduct_first(delta) == coproduct_second(delta)
 
-    def counital(comp, f):
-        delta = f.coproduct()
+    def counital(comp, f, delta):
         return counit_first(delta) == f and counit_second(delta) == f
 
     def bialgebra(a, b, fa, fb):
@@ -119,8 +119,7 @@ def hopf_checks(max_degree: int = 6) -> list[Check]:
         return (product.coproduct() == fa.coproduct() * fb.coproduct()
                 and product.counit() == fa.counit() * fb.counit())
 
-    def antipodal(comp, f):
-        delta = f.coproduct()
+    def antipodal(comp, f, delta):
         unit_part = QSymElement.from_int(f.counit())
         return all(contract_product(map_slot(delta, slot, QSymElement.antipode)) == unit_part
                    for slot in (0, 1))
@@ -129,14 +128,14 @@ def hopf_checks(max_degree: int = 6) -> list[Check]:
         return f.antipode().antipode() == f
 
     return [
-        _sweep("coassociativity", basis, coassociative,
+        _sweep("coassociativity", rows, coassociative,
                f"(D x id)D = (id x D)D on all {{}} basis elements through weight {max_degree}"),
-        _sweep("counit", basis, counital,
+        _sweep("counit", rows, counital,
                "both counit contractions of D restore all {} basis elements"),
-        _sweep("bialgebra", _pairs(max_degree), bialgebra,
+        _sweep("bialgebra", _pairs(basis), bialgebra,
                f"D and the counit are ring maps on {{}} basis pairs with total weight <= {max_degree}",
                _pair_label),
-        _sweep("antipode", basis, antipodal,
+        _sweep("antipode", rows, antipodal,
                "m(S x id)D = m(id x S)D = unit.counit on all {} basis elements"),
         _sweep("antipode-squared", basis, antipode_involutive,
                "S.S = id on all {} basis elements (commutative case)"),
@@ -156,6 +155,7 @@ def oracle_checks(max_degree: int = 7) -> list[Check]:
     match, so it fails the comparison itself.  The packed coefficients are
     read from the two basis placements: no polynomial is built.
     """
+    basis = _basis(max_degree)
 
     def product_expands(a, b, fa, fb):
         return (fa * fb)._terms == _packed_product(a, b)
@@ -166,12 +166,12 @@ def oracle_checks(max_degree: int = 7) -> list[Check]:
 
     return [
         _sweep("product-expansion",
-               ((a, b, fa, fb) for a, b, fa, fb in _pairs(max_degree) if a and b),
+               ((a, b, fa, fb) for a, b, fa, fb in _pairs(basis) if a and b),
                product_expands,
                "expanding the product matches multiplying expansions on {} pairs"
                f" with total weight <= {max_degree}",
                _pair_label),
-        _sweep("expansion-round-trip", _basis(max_degree), round_trips,
+        _sweep("expansion-round-trip", basis, round_trips,
                "expansions are quasisymmetric and read back exactly for all {} basis elements"),
     ]
 
@@ -188,15 +188,12 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
     # (n, slot, the variables of n + 1 that survive killing slot), shared by every composition
     slots = [(n, slot, tuple(p for p in range(1, n + 2) if p != slot))
              for n in degrees for slot in range(1, n + 2)]
-    keeps = [(n, kept) for n in degrees for m in range(n + 1) for kept in combinations(range(1, n + 1), m)]
-    subsets = [kept for m in degrees for kept in combinations(range(1, max_degree + 1), m)]
+    # subsets[n]: the increasing selections from n variables, by size, then lex
+    subsets = [[kept for m in range(n + 1) for kept in combinations(range(1, n + 1), m)]
+               for n in degrees]
     # (outer, inner, the selection of inner within outer), shared by every composition
-    selections = [
-        (outer, inner, tuple(outer[i - 1] for i in inner))
-        for outer in subsets
-        for k in range(len(outer) + 1)
-        for inner in combinations(range(1, len(outer) + 1), k)
-    ]
+    selections = [(outer, inner, tuple(outer[i - 1] for i in inner))
+                  for outer in subsets[max_degree] for inner in subsets[len(outer)]]
 
     def insertions():
         for comp, table in tables:
@@ -205,13 +202,14 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
 
     def restrictions():
         for comp, table in tables:
-            for n, kept in keeps:
-                yield comp, kept, table[n], table[len(kept)]
+            for n in degrees:
+                for kept in subsets[n]:
+                    yield comp, kept, table[n], table[len(kept)]
 
     def composed_restrictions():
         for comp, table in tables:
             poly = table[max_degree]
-            selected = {kept: face_map(poly, kept) for kept in subsets}
+            selected = {kept: face_map(poly, kept) for kept in subsets[max_degree]}
             for outer, inner, composed in selections:
                 yield comp, outer, inner, selected[outer], selected[composed]
 
@@ -233,9 +231,10 @@ def limit_checks(max_degree: int = 5) -> list[Check]:
 
 def mu_checks(max_degree: int = 6) -> list[Check]:
     """The gluing pullback against the deconcatenation coproduct."""
+    basis = _basis(max_degree)
 
     def splits():
-        for a, b, fa, fb in _pairs(max_degree - 1):
+        for a, b, fa, fb in _pairs(basis[: len(basis) // 2]):  # total weight <= max_degree - 1
             product = fa * fb
             total = a.weight + b.weight
             for n1 in range(total + 1):
@@ -251,7 +250,7 @@ def mu_checks(max_degree: int = 6) -> list[Check]:
         })
 
     return [
-        _sweep("gluing-coproduct", _basis(max_degree),
+        _sweep("gluing-coproduct", basis,
                lambda comp, f: gluing_matches_coproduct(f),
                f"gluing pullbacks assemble into D on all {{}} basis elements through weight {max_degree}"),
         _sweep("gluing-multiplicative", splits(), pullback_multiplicative,
@@ -278,23 +277,22 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
         return map_slot(map_slot(f.coproduct(), 0, reverse), 1, reverse) != reverse(f).coproduct()
 
     witness = next((comp for comp, f in _basis(3) if reversal_twists(f)), None)
-    powers = [(comp, f, k) for comp, f in basis for k in range(max_degree + 1 - comp.weight)]
-    generators = [BetaElement({k: f}) for comp, f, k in powers]
-    images = [marked_point_involution(g) for g in generators]
-    # beta -> M_[1] - beta alone is a ring involution too: pin the reversal on each M_c
-    reversals = [BetaElement({0: QSymElement.monomial(comp[::-1])}) if k == 0 else None
-                 for comp, f, k in powers]
+    # one row per generator b^k M_c: (the generator, its image, its degree k + |c|, c)
+    rows = [(g, marked_point_involution(g), k + comp.weight, comp)
+            for comp, f in basis for k in range(max_degree + 1 - comp.weight)
+            for g in [BetaElement({k: f})]]
 
-    def involutive(g, image, reversal):
-        return (marked_point_involution(image) == g and image.total_degree() == g.total_degree()
-                and (reversal is None or image == reversal))
+    def involutive(g, image, degree, comp):
+        # beta -> M_[1] - beta alone is a ring involution too: pin the reversal on each M_c
+        return (marked_point_involution(image) == g and image.total_degree() == degree
+                and (degree > comp.weight
+                     or image == BetaElement({0: QSymElement.monomial(comp[::-1])})))
 
-    degrees = [g.total_degree() for g in generators]
     generator_pairs = (
-        (g, generators[j], images[i], images[j])
-        for i, g in enumerate(generators)
-        for j in range(i, len(generators))
-        if degrees[i] + degrees[j] <= max_degree
+        (g, h, image_g, image_h)
+        for i, (g, image_g, degree_g, _) in enumerate(rows)
+        for h, image_h, degree_h, _ in islice(rows, i, None)
+        if degree_g + degree_h <= max_degree
     )
     beta_image = marked_point_involution(BetaElement.beta())
     expected = BetaElement({1: QSymElement.from_int(-1), 0: QSymElement.monomial([1])})
@@ -302,7 +300,7 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
     return [
         _sweep("reversal-involution", basis, reversal_involutive,
                "index reversal squares to the identity on all {} basis elements"),
-        _sweep("reversal-multiplicative", _pairs(max_degree), reversal_multiplicative,
+        _sweep("reversal-multiplicative", _pairs(basis), reversal_multiplicative,
                "index reversal is a ring map on {} basis pairs", _pair_label),
         Check(
             "reversal-twists-coproduct",
@@ -311,10 +309,10 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
             if witness is not None
             else "no witness found through weight 3",
         ),
-        _sweep("involution-squared", zip(generators, images, reversals), involutive,
+        _sweep("involution-squared", rows, involutive,
                "the marked-point involution squares to the identity and preserves degree"
                " on {} generators",
-               lambda g, image, reversal: format_beta(g)),
+               lambda g, *row: format_beta(g)),
         _sweep("involution-multiplicative", generator_pairs,
                lambda g, h, image_g, image_h: marked_point_involution(g * h) == image_g * image_h,
                "the marked-point involution is a ring map on {} generator pairs",

@@ -411,6 +411,15 @@ class TestTensors:
         assert two.coefficient(([1], [2])) == 2
         assert two.coefficient(([2], [1])) == 0
 
+    @pytest.mark.parametrize("key", [([1], [2], []), ([1],)], ids=["three", "one"])
+    def test_coefficient_rejects_a_key_of_another_arity(self, key):
+        # the lookup checks a key as the constructor does
+        two = tensor(2 * M([1]), M([2]))
+        with pytest.raises(ValueError, match=re.escape(f"tensor key {key!r} does not have arity 2")):
+            two.coefficient(key)
+        with pytest.raises(ValueError, match="does not have arity 2"):
+            TensorElement(2, {tuple(map(tuple, key)): 1})
+
     def test_map_slot(self):
         two = tensor(M([1, 2]), M([3]))
         reversed_first = map_slot(two, 0, QSymElement.reverse_indices)

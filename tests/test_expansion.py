@@ -1,5 +1,6 @@
 """Polynomial expansions, recognition, face maps, and the rank certificate."""
 
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -90,6 +91,19 @@ class TestSparsePolynomial:
         ]:
             with pytest.raises(ValueError, match=shown):
                 SparsePolynomial(num_vars, terms)
+
+    @pytest.mark.parametrize("key, message", [
+        ((True, 0), re.escape("exponents must be integers, got True in (True, 0)")),
+        ((1,), re.escape("exponent tuple (1,) does not match 2 variables")),
+        ((-1, 0), re.escape("negative exponent in (-1, 0)")),
+    ], ids=["bool", "short", "negative"])
+    def test_coefficient_checks_the_key_as_the_constructor_does(self, key, message):
+        poly = SparsePolynomial(2, {(1, 0): 7})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SparsePolynomial(2, {key: 7})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            poly.coefficient(key)
+        assert poly.coefficient([1, 0]) == 7 and poly.coefficient((0, 1)) == 0
 
     def test_zero_coefficients_dropped(self):
         assert SparsePolynomial(2, {(1, 0): 0}).is_zero()

@@ -71,11 +71,32 @@ def test_pairs_are_the_filtered_product_in_order(max_total):
     basis = verification._basis(max_total)
     assert all(f == QSymElement.monomial(c) for c, f in basis)
     comps = [c for c, _ in basis]
-    expected = [(a, b) for a in comps for b in comps if a.weight + b.weight <= max_total]
-    rows = list(verification._pairs(max_total))
-    assert [(a, b) for a, b, _, _ in rows] == expected
-    assert all(fa == QSymElement.monomial(a) and fb == QSymElement.monomial(b)
-               for a, b, fa, fb in rows)
+    # the whole basis, and the first half that mu passes: weights up to max_total - 1
+    for rows, bound in [(basis, max_total), (basis[: len(basis) // 2], max_total - 1)]:
+        expected = [(a, b) for a in comps for b in comps if a.weight + b.weight <= bound]
+        pairs = list(verification._pairs(rows))
+        assert [(a, b) for a, b, _, _ in pairs] == expected
+        assert all(fa == QSymElement.monomial(a) and fb == QSymElement.monomial(b)
+                   for a, b, fa, fb in pairs)
+
+
+def test_run_all_builds_each_basis_once_per_suite(monkeypatch):
+    # one basis per sweeping suite, whose pairs read it too, plus tau's
+    # weight-3 witness of the twisted coproduct
+    bounds = []
+    _patch(monkeypatch, "_basis", lambda k: lambda d: bounds.append(d) or k(d))
+    run_all()
+    sweeping = ("hopf", "oracle", "limit", "mu", "tau")
+    assert bounds == [DEFAULT_DEGREES[name] for name in sweeping] + [3]
+
+
+def test_hopf_takes_one_coproduct_per_basis_element(monkeypatch):
+    # coassociativity, counit and antipode read D(M_c) from the row; bialgebra
+    # takes three per pair: 16 basis elements and 48 pairs at weight 4
+    calls, coproduct = [], QSymElement.coproduct
+    monkeypatch.setattr(QSymElement, "coproduct", lambda f: calls.append(f) or coproduct(f))
+    assert all(check.passed for check in verification.hopf_checks(4))
+    assert len(calls) == 16 + 3 * 48 == 160
 
 
 def test_checks_carry_detail_text():
