@@ -134,8 +134,8 @@ class _Sparse:
     base owns +, -, integer scaling, ==, hash, bool, len and the canonical
     order of :meth:`terms`, and :meth:`coefficient`.  Each subclass supplies
     ``_key``, the one check of a public key, which both the constructor and
-    :meth:`coefficient` apply; its lift of scalars; its own product; and
-    ``_order``: the canonical order of its keys, as a list.
+    :meth:`coefficient` apply through :meth:`_checked`; its lift of scalars;
+    its own product; and ``_order``: the canonical order of its keys, as a list.
 
     Internal results are built by :meth:`_new`, which drops zero
     coefficients, or by :meth:`_wrap`, which stores the dict it is given.
@@ -159,13 +159,15 @@ class _Sparse:
     def _store(self, shape, terms: Mapping | None) -> None:
         """Validate public constructor input: every key and every coefficient."""
         self._shape = shape
-        key = self._key
-        clean = {}
-        for k, v in (terms or {}).items():
-            k, v = key(k), self._coefficient(v)
-            if v:
-                clean[k] = v
-        self._terms = clean
+        items = ((self._checked(k), self._coefficient(v)) for k, v in (terms or {}).items())
+        self._terms = {k: v for k, v in items if v}
+
+    def _checked(self, key):
+        """``self._key(key)``, raising ``ValueError`` on a key of the wrong type as well."""
+        try:
+            return self._key(key)
+        except TypeError as error:
+            raise ValueError(f"key {key!r} is malformed: {error}") from None
 
     @classmethod
     def _new(cls, terms: Mapping, shape=None):
@@ -207,7 +209,7 @@ class _Sparse:
 
     def coefficient(self, key) -> int:
         """The coefficient of ``key``, checked as the constructor checks it; 0 if absent."""
-        return self._terms.get(self._key(key), 0)
+        return self._terms.get(self._checked(key), 0)
 
     def is_zero(self) -> bool:
         return not self._terms

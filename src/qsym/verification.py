@@ -7,7 +7,8 @@ few tens of milliseconds, and each covers all compositions of the stated weights
 
 Every swept check runs through :func:`_sweep`, over one table of rows per
 suite, built once: a row carries what its checks share (``M_c``, ``D M_c``,
-an involution image), and :func:`_pairs` reads the suite's own :func:`_basis`.
+``S M_c``, an involution image), and each pair check builds its symmetric
+side once per unordered pair, as the ``shared`` value of :func:`_pairs`.
 The number in a detail is the number of cases swept; a failure names the
 first failing case and counts the rest ("failed at ([], [1]) and 7 more").
 """
@@ -63,14 +64,21 @@ def _basis(max_degree: int) -> list[tuple[Composition, QSymElement]]:
     return [(comp, QSymElement.monomial(comp)) for comp in comps]
 
 
-def _pairs(basis: list[tuple[Composition, QSymElement]]) -> Iterator[tuple]:
-    """``(a, b, M_a, M_b)`` for pairs of ``_basis(w)`` of total weight <= w, by ``a`` then ``b``.
+def _pairs(basis: list[tuple[Composition, QSymElement]], shared: Callable) -> Iterator[tuple]:
+    """``(a, b, M_a, M_b, shared(a, b, M_a, M_b))`` for pairs of total weight <= w.
 
-    The 2**w rows run by weight, 2**v of them of weight at most v, so the
-    partners of ``a`` are the first ``len(basis) >> a.weight``.  The first half
-    of ``_basis(w)`` is ``_basis(w - 1)``.
+    The 2**w rows of ``_basis(w)`` run by weight, 2**v of them of weight at
+    most v, so the partners of ``a`` are the first ``len(basis) >> a.weight``,
+    also in its first half ``_basis(w - 1)`` and in ``basis[1:]``.  ``shared``
+    must be symmetric: each unordered pair, smaller index first, calls it once
+    and is followed by its mirror ``(b, a, M_b, M_a)`` with the same value.
     """
-    return ((a, b, fa, fb) for a, fa in basis for b, fb in basis[: len(basis) >> a.weight])
+    for i, (a, fa) in enumerate(basis):
+        for b, fb in basis[i : len(basis) >> a.weight]:
+            value = shared(a, b, fa, fb)
+            yield a, b, fa, fb, value
+            if b is not a:
+                yield b, a, fb, fa, value
 
 
 _pair_label = "({}, {})".format
@@ -106,38 +114,37 @@ def _sweep(
 def hopf_checks(max_degree: int = 6) -> list[Check]:
     """Coassociativity, counit, bialgebra, antipode, and involutivity sweeps."""
     basis = _basis(max_degree)
-    rows = [(comp, f, f.coproduct()) for comp, f in basis]
+    rows = [(comp, f, f.coproduct(), f.antipode()) for comp, f in basis]
+    coproducts = {comp: delta for comp, f, delta, s in rows}
+    antipodes = {f: s for comp, f, delta, s in rows}  # every cut of a row's c is a row
 
-    def coassociative(comp, f, delta):
+    def coassociative(comp, f, delta, s):
         return coproduct_first(delta) == coproduct_second(delta)
 
-    def counital(comp, f, delta):
+    def counital(comp, f, delta, s):
         return counit_first(delta) == f and counit_second(delta) == f
 
-    def bialgebra(a, b, fa, fb):
+    def bialgebra(a, b, fa, fb, coproduct_product):
         product = fa * fb
-        return (product.coproduct() == fa.coproduct() * fb.coproduct()
-                and product.counit() == fa.counit() * fb.counit())
+        return product.coproduct() == coproduct_product and product.counit() == fa.counit() * fb.counit()
 
-    def antipodal(comp, f, delta):
+    def antipodal(comp, f, delta, s):
         unit_part = QSymElement.from_int(f.counit())
-        return all(contract_product(map_slot(delta, slot, QSymElement.antipode)) == unit_part
+        return all(contract_product(map_slot(delta, slot, antipodes.__getitem__)) == unit_part
                    for slot in (0, 1))
-
-    def antipode_involutive(comp, f):
-        return f.antipode().antipode() == f
 
     return [
         _sweep("coassociativity", rows, coassociative,
                f"(D x id)D = (id x D)D on all {{}} basis elements through weight {max_degree}"),
         _sweep("counit", rows, counital,
                "both counit contractions of D restore all {} basis elements"),
-        _sweep("bialgebra", _pairs(basis), bialgebra,
+        _sweep("bialgebra", _pairs(basis, lambda a, b, fa, fb: coproducts[a] * coproducts[b]),
+               bialgebra,
                f"D and the counit are ring maps on {{}} basis pairs with total weight <= {max_degree}",
                _pair_label),
         _sweep("antipode", rows, antipodal,
                "m(S x id)D = m(id x S)D = unit.counit on all {} basis elements"),
-        _sweep("antipode-squared", basis, antipode_involutive,
+        _sweep("antipode-squared", rows, lambda comp, f, delta, s: s.antipode() == f,
                "S.S = id on all {} basis elements (commutative case)"),
     ]
 
@@ -157,17 +164,13 @@ def oracle_checks(max_degree: int = 7) -> list[Check]:
     """
     basis = _basis(max_degree)
 
-    def product_expands(a, b, fa, fb):
-        return (fa * fb)._terms == _packed_product(a, b)
-
     def round_trips(comp, f):
         poly = expand(f, max(comp.weight, 1))
         return is_quasisymmetric(poly) and from_polynomial(poly) == f
 
     return [
-        _sweep("product-expansion",
-               ((a, b, fa, fb) for a, b, fa, fb in _pairs(basis) if a and b),
-               product_expands,
+        _sweep("product-expansion", _pairs(basis[1:], lambda a, b, fa, fb: _packed_product(a, b)),
+               lambda a, b, fa, fb, packed: (fa * fb)._terms == packed,
                "expanding the product matches multiplying expansions on {} pairs"
                f" with total weight <= {max_degree}",
                _pair_label),
@@ -233,16 +236,16 @@ def mu_checks(max_degree: int = 6) -> list[Check]:
     """The gluing pullback against the deconcatenation coproduct."""
     basis = _basis(max_degree)
 
-    def splits():
-        for a, b, fa, fb in _pairs(basis[: len(basis) // 2]):  # total weight <= max_degree - 1
-            product = fa * fb
-            total = a.weight + b.weight
-            for n1 in range(total + 1):
-                yield a, b, n1, total - n1, fa, fb, product
+    def truncated_products(a, b, fa, fb):  # psi(M_a) psi(M_b) into each (n1, n2) square
+        cuts = [(n1, a.weight + b.weight - n1) for n1 in range(a.weight + b.weight + 1)]
+        return [truncate_tensor(gluing_pullback(fa, *cut) * gluing_pullback(fb, *cut), cut)
+                for cut in cuts]
 
-    def pullback_multiplicative(a, b, n1, n2, fa, fb, fab):
-        product = gluing_pullback(fa, n1, n2) * gluing_pullback(fb, n1, n2)
-        return gluing_pullback(fab, n1, n2) == truncate_tensor(product, (n1, n2))
+    def splits():  # total weight <= max_degree - 1
+        for a, b, fa, fb, truncated in _pairs(basis[: len(basis) // 2], truncated_products):
+            product, total = fa * fb, a.weight + b.weight
+            for n1, expected in enumerate(truncated):
+                yield a, b, n1, total - n1, product, expected
 
     def stratum_splits(d):
         return deep_stratum_class(d).coproduct() == TensorElement(2, {
@@ -253,7 +256,8 @@ def mu_checks(max_degree: int = 6) -> list[Check]:
         _sweep("gluing-coproduct", basis,
                lambda comp, f: gluing_matches_coproduct(f),
                f"gluing pullbacks assemble into D on all {{}} basis elements through weight {max_degree}"),
-        _sweep("gluing-multiplicative", splits(), pullback_multiplicative,
+        _sweep("gluing-multiplicative", splits(),
+               lambda a, b, n1, n2, product, expected: gluing_pullback(product, n1, n2) == expected,
                "the pullback is a ring map into each truncated tensor square ({} cases)",
                "({}, {}, {}+{})".format),
         _sweep("deep-stratum", zip(range(max_degree + 1)), stratum_splits,
@@ -268,9 +272,6 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
 
     def reversal_involutive(comp, f):
         return f.reverse_indices().reverse_indices() == f
-
-    def reversal_multiplicative(a, b, fa, fb):
-        return (fa * fb).reverse_indices() == fa.reverse_indices() * fb.reverse_indices()
 
     def reversal_twists(f):
         reverse = QSymElement.reverse_indices
@@ -300,15 +301,13 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
     return [
         _sweep("reversal-involution", basis, reversal_involutive,
                "index reversal squares to the identity on all {} basis elements"),
-        _sweep("reversal-multiplicative", _pairs(basis), reversal_multiplicative,
+        _sweep("reversal-multiplicative",
+               _pairs(basis, lambda a, b, fa, fb: fa.reverse_indices() * fb.reverse_indices()),
+               lambda a, b, fa, fb, product: (fa * fb).reverse_indices() == product,
                "index reversal is a ring map on {} basis pairs", _pair_label),
-        Check(
-            "reversal-twists-coproduct",
-            witness is not None,
-            f"index reversal is not a coalgebra map; witness {witness}"
-            if witness is not None
-            else "no witness found through weight 3",
-        ),
+        Check("reversal-twists-coproduct", witness is not None,
+              f"index reversal is not a coalgebra map; witness {witness}" if witness is not None
+              else "no witness found through weight 3"),
         _sweep("involution-squared", rows, involutive,
                "the marked-point involution squares to the identity and preserves degree"
                " on {} generators",
@@ -317,11 +316,8 @@ def tau_checks(max_degree: int = 5) -> list[Check]:
                lambda g, h, image_g, image_h: marked_point_involution(g * h) == image_g * image_h,
                "the marked-point involution is a ring map on {} generator pairs",
                lambda g, h, image_g, image_h: _pair_label(format_beta(g), format_beta(h))),
-        Check(
-            "involution-of-beta",
-            beta_image == expected,
-            "beta maps to -b + [1]" if beta_image == expected else "beta image is wrong",
-        ),
+        Check("involution-of-beta", beta_image == expected,
+              "beta maps to -b + [1]" if beta_image == expected else "beta image is wrong"),
     ]
 
 

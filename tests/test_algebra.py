@@ -731,3 +731,19 @@ def test_terms_run_in_the_canonical_order(element):
     keys = [k for k, _ in element.terms()]
     assert keys == sorted(keys, key=key, reverse=descending)
     assert len(keys) == len(element)
+
+
+# Each element type checks a public key in its own _key, which the constructor
+# and coefficient() share; a key of the wrong type fails as a bad value does.
+@pytest.mark.parametrize("call", [
+    lambda: QSymElement({5: 1}),
+    lambda: SparsePolynomial(2, {5: 1}),
+    lambda: TensorElement(2, {5: 1}),
+    lambda: (3 * M([1, 2])).coefficient(5),
+    lambda: SparsePolynomial(2, {(1, 0): 7}).coefficient(5),
+    lambda: tensor(M([1]), M([2])).coefficient(5),
+], ids=["qsym", "polynomial", "tensor", "qsym-coefficient", "polynomial-coefficient",
+        "tensor-coefficient"])
+def test_a_key_that_is_not_a_sequence_is_a_value_error(call):
+    with pytest.raises(ValueError, match=r"^key 5 is malformed: "):
+        call()

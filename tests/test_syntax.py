@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.algebra import QSymElement, TensorElement, monomial, tensor
+from qsym.algebra import QSymElement, TensorElement, _Sparse, monomial, tensor
 from qsym.chow import BetaElement
 from qsym.compositions import Composition, enumerate_compositions
 from qsym.expansion import SparsePolynomial, expand
@@ -77,6 +77,20 @@ def test_parsed_parts_are_validated_once(monkeypatch, parse, text, expected):
     assert calls == []
     monkeypatch.undo()
     assert value == expected and type(value) is type(expected)
+
+
+@pytest.mark.parametrize("parse,text", [
+    (parse_qsym, "3*[1,2] - [2,1] + 1"),
+    (parse_tensor, "2*[3,1] (x) [4] - [] (x) [1]"),
+    (parse_beta, "([1]+2)*b^2 + [1,1]*[2]"),
+])
+def test_parsers_take_no_public_key_check(monkeypatch, parse, text):
+    # the parsers build their keys, so they store them through _new and _wrap
+    def checked(self, key):
+        raise AssertionError(f"public key check of {key!r}")
+
+    monkeypatch.setattr(_Sparse, "_checked", checked)
+    assert parse(text)
 
 
 class TestParseQsym:

@@ -1,6 +1,8 @@
 """The check suites themselves, run at reduced bounds for speed."""
 
 import inspect
+from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -70,14 +72,30 @@ def test_run_all_groups_by_suite():
 def test_pairs_are_the_filtered_product_in_order(max_total):
     basis = verification._basis(max_total)
     assert all(f == QSymElement.monomial(c) for c, f in basis)
-    comps = [c for c, _ in basis]
-    # the whole basis, and the first half that mu passes: weights up to max_total - 1
-    for rows, bound in [(basis, max_total), (basis[: len(basis) // 2], max_total - 1)]:
-        expected = [(a, b) for a in comps for b in comps if a.weight + b.weight <= bound]
-        pairs = list(verification._pairs(rows))
-        assert [(a, b) for a, b, _, _ in pairs] == expected
+    index = {c: i for i, (c, _) in enumerate(basis)}
+    # the whole basis, the first half that mu passes (weights up to max_total - 1)
+    # and the nonempty rows that oracle passes
+    for rows, bound in [(basis, max_total), (basis[: len(basis) // 2], max_total - 1),
+                        (basis[1:], max_total)]:
+        kept = [c for c, _ in rows]
+        calls = []
+        pairs = list(verification._pairs(rows, lambda *case: calls.append(case) or len(calls)))
+        # as a multiset, the ordered pairs are the filtered product
+        assert Counter((a, b) for a, b, *_ in pairs) == Counter(
+            (a, b) for a in kept for b in kept if a.weight + b.weight <= bound)
         assert all(fa == QSymElement.monomial(a) and fb == QSymElement.monomial(b)
-                   for a, b, fa, fb in pairs)
+                   for a, b, fa, fb, _ in pairs)
+        # shared runs once per unordered pair, the smaller index first, in order
+        assert [(a, b) for a, b, _, _ in calls] == [
+            (a, b) for a in kept for b in kept
+            if index[a] <= index[b] and a.weight + b.weight <= bound]
+        # each case of a call is followed by its mirror, unless it is its own
+        cases = iter(pairs)
+        for n, (a, b, fa, fb) in enumerate(calls, 1):
+            assert next(cases) == (a, b, fa, fb, n)
+            if a is not b:
+                assert next(cases) == (b, a, fb, fa, n)
+        assert next(cases, None) is None
 
 
 def test_run_all_builds_each_basis_once_per_suite(monkeypatch):
@@ -91,12 +109,44 @@ def test_run_all_builds_each_basis_once_per_suite(monkeypatch):
 
 
 def test_hopf_takes_one_coproduct_per_basis_element(monkeypatch):
-    # coassociativity, counit and antipode read D(M_c) from the row; bialgebra
-    # takes three per pair: 16 basis elements and 48 pairs at weight 4
+    # every check reads D(M_c) from the row, and bialgebra takes one more, of
+    # M_a M_b, per ordered pair: 16 basis elements and 48 pairs at weight 4
     calls, coproduct = [], QSymElement.coproduct
     monkeypatch.setattr(QSymElement, "coproduct", lambda f: calls.append(f) or coproduct(f))
     assert all(check.passed for check in verification.hopf_checks(4))
-    assert len(calls) == 16 + 3 * 48 == 160
+    assert len(calls) == 16 + 48 == 64
+
+
+def test_hopf_takes_two_antipodes_per_basis_element(monkeypatch):
+    # S(M_c) once in its row, and antipode-squared applies S to it once; the
+    # antipode check reads every cut's S(M_p) from the rows
+    calls, antipode = [], QSymElement.antipode
+    monkeypatch.setattr(QSymElement, "antipode", lambda f: calls.append(f) or antipode(f))
+    assert all(check.passed for check in verification.hopf_checks(4))
+    assert len(calls) == 2 * 16 == 32
+
+
+def test_oracle_packs_each_unordered_pair_once(monkeypatch):
+    # 17 ordered pairs of nonempty compositions with total weight <= 4, 10 unordered
+    calls = []
+    _patch(monkeypatch, "_packed_product", lambda k: lambda a, b: calls.append((a, b)) or k(a, b))
+    assert all(check.passed for check in verification.oracle_checks(4))
+    assert len(calls) == 10
+
+
+def test_mu_multiplies_pullbacks_once_per_unordered_pair_and_cut(monkeypatch):
+    # gluing-multiplicative at mu@4 sweeps 68 (pair, cut) cases of total weight
+    # <= 3; the unordered pairs have 36 cuts, one tensor product each
+    products, mul = [], TensorElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, TensorElement):
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(TensorElement, "__mul__", counted)
+    assert all(check.passed for check in verification.mu_checks(4))
+    assert len(products) == 36
 
 
 def test_checks_carry_detail_text():
@@ -395,11 +445,12 @@ def test_limit_expands_each_element_once_per_variable_count(monkeypatch, max_deg
 
 # -- the mutation matrix ---------------------------------------------------------
 
-def _drop_last_term(mul):
-    """A 2-fold tensor product that loses one term of every product."""
+def _drop_last_term(mul, when=lambda self, other: True):
+    """A 2-fold tensor product that loses one term of every product where ``when`` holds."""
     def dropped(self, other):
         product = mul(self, other)
-        if isinstance(other, TensorElement) and self.arity == 2 and len(product) > 1:
+        if (isinstance(other, TensorElement) and self.arity == 2 and len(product) > 1
+                and when(self, other)):
             return TensorElement._wrap(dict(list(product._terms.items())[:-1]), 2)
         return product
     return dropped
@@ -425,6 +476,11 @@ MUTATIONS = {
         lambda k: lambda f: QSymElement._new({c: abs(v) for c, v in k(f)._terms.items()}),
         {"antipode"},
     ),
+    "antipode-first-term-only": (  # the antipode check calls S on basis elements only
+        [(QSymElement, "antipode")],
+        lambda k: lambda f: k(QSymElement._wrap(dict(islice(f._terms.items(), 1)))),
+        {"antipode-squared"},
+    ),
     "reversal-rotated": (
         [(QSymElement, "reverse_indices")],
         lambda k: lambda f: QSymElement._wrap({c[1:] + c[:1]: v for c, v in f._terms.items()}),
@@ -449,6 +505,12 @@ MUTATIONS = {
     "tensor-product-dropped-term": (
         [(TensorElement, "__mul__")],
         _drop_last_term,
+        {"bialgebra", "gluing-multiplicative"},
+    ),
+    # each pair check multiplies the images in one operand order only
+    "tensor-product-order-dependent": (
+        [(TensorElement, "__mul__")],
+        lambda k: _drop_last_term(k, lambda self, other: len(self) > len(other)),
         {"bialgebra", "gluing-multiplicative"},
     ),
     "truncation-one-part-longer": (  # only the product of the pullbacks is truncated
