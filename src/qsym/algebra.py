@@ -285,8 +285,10 @@ class QSymElement(_Sparse):
     __slots__ = ()
 
     _SCALAR_KEY = _EMPTY
-    _key = Composition
     _public = partial(map, _composition)
+
+    def _key(self, key) -> Composition:  # tuple() raises the TypeError that _checked labels
+        return Composition(tuple(key))
 
     def __init__(self, terms: Mapping[Composition, int] | None = None):
         self._store(None, terms)

@@ -40,6 +40,12 @@ class Composition(tuple):
 
     __slots__ = ()
 
+    def __new__(cls, parts: Iterable[int] = ()):
+        try:
+            return tuple.__new__(cls, parts)
+        except TypeError as error:
+            raise ValueError(f"composition {parts!r} is malformed: {error}") from None
+
     def __init__(self, parts: Iterable[int] = ()):
         if isinstance(parts, Composition):
             return

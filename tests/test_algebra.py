@@ -747,3 +747,8 @@ def test_terms_run_in_the_canonical_order(element):
 def test_a_key_that_is_not_a_sequence_is_a_value_error(call):
     with pytest.raises(ValueError, match=r"^key 5 is malformed: "):
         call()
+
+
+def test_a_monomial_of_a_non_sequence_is_a_value_error():
+    with pytest.raises(ValueError, match=r"^composition 5 is malformed: "):
+        QSymElement.monomial(5)

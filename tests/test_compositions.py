@@ -41,7 +41,7 @@ class TestConstruction:
         c = Composition([2, 5])
         assert Composition(c) == c
 
-    @pytest.mark.parametrize("bad", [[0], [1, -2], [1.5], [True], ["1"]])
+    @pytest.mark.parametrize("bad", [[0], [1, -2], [1.5], [True], ["1"], 5, None])
     def test_invalid_parts(self, bad):
         with pytest.raises(ValueError):
             Composition(bad)

@@ -2,14 +2,14 @@
 
 import inspect
 from collections import Counter
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
 from qsym import algebra, chow, expansion, verification
 from qsym.algebra import QSymElement, TensorElement
 from qsym.chow import BetaElement, gluing_matches_coproduct
-from qsym.compositions import lyndon_count
+from qsym.compositions import enumerate_compositions, lyndon_count
 from qsym.expansion import SparsePolynomial
 from qsym.verification import DEFAULT_DEGREES, SUITES, Check, run_all, run_suite
 
@@ -443,6 +443,19 @@ def test_limit_expands_each_element_once_per_variable_count(monkeypatch, max_deg
     assert len(calls) == (max_degree + 2) * 2 ** max_degree
 
 
+@pytest.mark.parametrize("max_degree", range(7))
+def test_limit_maps_each_face_once(monkeypatch, max_degree):
+    # every face of each E_n, n <= max_degree, once: 2**n of them for each of
+    # the 2**max_degree elements, read by all three checks; zero-insertion
+    # maps E_max_degree+1 by each of its max_degree + 1 one-variable kills.
+    # 2,208 calls at limit@5 and 8,576 at limit@6; mapping every case took
+    # 11,488 and 60,672.
+    calls, d = [], max_degree
+    _patch(monkeypatch, "face_map", lambda k: lambda poly, kept: calls.append(kept) or k(poly, kept))
+    assert all(check.passed for check in verification.limit_checks(max_degree))
+    assert len(calls) == 2 ** d * (2 ** (d + 1) - 1) + 2 ** d * (d + 1)
+
+
 # -- the mutation matrix ---------------------------------------------------------
 
 def _drop_last_term(mul, when=lambda self, other: True):
@@ -491,6 +504,11 @@ MUTATIONS = {
         [(verification, "expand")],
         lambda k: lambda f, n: SparsePolynomial._wrap(dict(list(k(f, n)._terms.items())[1:]), n),
         {"zero-insertion", "restriction", "expansion-round-trip"},
+    ),
+    "lyndon-enumeration-dropped-composition": (
+        [(verification, "enumerate_lyndon")],
+        lambda k: lambda n: k(n)[:-1] if n >= 3 else k(n),
+        {"generator-count", *(f"free-generation-weight-{w}" for w in range(3, 7))},
     ),
     "face-map-wrong-coefficient": (
         [(verification, "face_map")],
@@ -543,6 +561,90 @@ def test_mutation_fails_the_named_checks(monkeypatch, targets, mutate, expected)
         monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
     failed = {c.name for checks in run_all().values() for c in checks if not c.passed}
     assert expected <= failed
+
+
+def _limit_mapping_every_case(max_degree):
+    """The triples of limit_checks from three unshared sweeps in which every
+    face of every case is built by its own face_map call.  Both kernels are
+    read through verification's bindings when called, so a patch applies."""
+    face_map, expand = verification.face_map, verification.expand
+    comps = [comp for d in range(max_degree + 1) for comp in enumerate_compositions(d)]
+    expansion_of = {(comp, n): expand(QSymElement.monomial(comp), n)
+                    for comp in comps for n in range(max_degree + 2)}
+
+    def subsets(n):
+        return [kept for m in range(n + 1) for kept in combinations(range(1, n + 1), m)]
+
+    insertions = [
+        (comp, n, slot, face_map(expansion_of[comp, n + 1], tuple(p for p in range(1, n + 2) if p != slot))
+         == expansion_of[comp, n])
+        for comp in comps for n in range(max_degree + 1) for slot in range(1, n + 2)
+    ]
+    restrictions = [
+        (comp, kept, face_map(expansion_of[comp, n], kept) == expansion_of[comp, len(kept)])
+        for comp in comps for n in range(max_degree + 1) for kept in subsets(n)
+    ]
+    top = max_degree
+    compositions = [
+        (comp, outer, inner, face_map(face_map(expansion_of[comp, top], outer), inner)
+         == face_map(expansion_of[comp, top], tuple(outer[i - 1] for i in inner)))
+        for comp in comps for outer in subsets(top) for inner in subsets(len(outer))
+    ]
+    sweeps = [
+        ("zero-insertion", insertions, "({}, n={}, slot={})".format,
+         "killing any one variable restores the smaller expansion ({} cases)"),
+        ("restriction", restrictions, "({}, keep={})".format,
+         "keeping any increasing set of variables restores the smaller expansion ({} cases)"),
+        ("restriction-composition", compositions, "({}, {}, {})".format,
+         "composing variable selections agrees with selecting once ({} cases)"),
+    ]
+    triples = []
+    for name, cases, label, detail in sweeps:
+        failing = [label(*case[:-1]) for case in cases if not case[-1]]
+        if not failing:
+            triples.append((name, True, detail.format(len(cases))))
+        else:
+            more = f" and {len(failing) - 1} more" if len(failing) > 1 else ""
+            triples.append((name, False, f"failed at {failing[0]}{more}"))
+    return triples
+
+
+def _face_map_wrong_where(wrong):
+    """A face_map mutation adding 1 to the image wherever ``wrong(num_vars, kept)``."""
+    def mutate(face_map):
+        def patched(poly, kept):
+            image = face_map(poly, kept)
+            return image + SparsePolynomial.constant(len(kept), 1) if wrong(poly.num_vars, kept) else image
+        return patched
+    return [(verification, "face_map")], mutate
+
+
+# Each entry maps a bound to (targets, mutate), as in MUTATIONS
+LIMIT_MUTATIONS = {
+    "no-mutation": lambda d: ([], None),
+    **{f"face-map-wrong-at-n{n}-keep{''.join(map(str, kept))}": lambda d, face=(n, kept):
+       _face_map_wrong_where(lambda num_vars, positions: (num_vars, positions) == face)
+       for n, kept in [(1, ()), (3, (1, 3)), (4, (2, 4)), (4, (2, 3, 4))]},
+    "face-map-wrong-on-one-variable": lambda d: _face_map_wrong_where(
+        lambda num_vars, kept: len(kept) == 1),
+    "face-map-wrong-on-the-top-level": lambda d: _face_map_wrong_where(
+        lambda num_vars, kept: num_vars == d + 1),
+    "expand-dropped-placement": lambda d: MUTATIONS["expand-dropped-placement"][:2],
+}
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+@pytest.mark.parametrize("mutation", list(LIMIT_MUTATIONS))
+def test_limit_agrees_with_mapping_every_case(monkeypatch, mutation, max_degree):
+    # restriction-composition maps only the cases the face tables cannot
+    # decide; any pure kernel, broken or not, must get the same triples
+    targets, mutate = LIMIT_MUTATIONS[mutation](max_degree)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, mutate(getattr(owner, name)))
+    expected = _limit_mapping_every_case(max_degree)
+    assert [tuple(c) for c in verification.limit_checks(max_degree)] == expected
+    if max_degree == 4 and mutation != "no-mutation":
+        assert not all(passed for name, passed, detail in expected)
 
 
 def test_no_check_multiplies_three_fold_tensors(monkeypatch):
