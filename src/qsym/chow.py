@@ -23,7 +23,10 @@ def truncate_tensor(element: TensorElement, bounds: tuple[int, ...]) -> TensorEl
 
     Models the finite-variable quotients applied slotwise.
     """
-    bounds = tuple(bounds)
+    try:
+        bounds = tuple(bounds)
+    except TypeError as error:
+        raise ValueError(f"length bounds {bounds!r} are malformed: {error}") from None
     if len(bounds) != element.arity:
         raise ValueError(
             f"expected {element.arity} length bounds, got {len(bounds)}"

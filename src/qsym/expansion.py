@@ -10,8 +10,9 @@ coefficients of the ``M_c``: :func:`_packed_product` reads them off the two
 memoised basis placements, and builds no polynomial.
 
 Also here: recognising quasisymmetric polynomials, reading them back into the
-basis, variable-killing face maps, and the certificate that products of
-Lyndon-indexed basis elements span each graded piece.  The certificate counts
+basis, variable-killing face maps (each face compiled once into one kill
+test), and the certificate that products of Lyndon-indexed basis elements
+span each graded piece.  The certificate counts
 the products whose leading terms, read from the lex-largest shuffle of the
 factors with no product built, are the predicted, pairwise distinct
 concatenations: a lower bound on the rank.  The tests compare it with
@@ -203,62 +204,48 @@ def from_polynomial(poly: SparsePolynomial) -> QSymElement:
 def face_map(poly: SparsePolynomial, positions: tuple[int, ...]) -> SparsePolynomial:
     """Keep the 1-based variables listed in ``positions``, kill the rest.
 
-    ``positions`` must be strictly increasing and within range.  The kept
-    variables are renumbered 1..m in order; any term using a killed variable
-    is dropped.  Each face is compiled once, by :func:`_face_selectors`.
+    ``positions`` must be integers, strictly increasing and within range.  The
+    kept variables are renumbered 1..m in order; any term using a killed
+    variable is dropped.  Each face is compiled once, by :func:`_face_selectors`.
     """
     positions = tuple(positions)
-    try:
-        image = _face_selectors(poly.num_vars, *positions)
-    except TypeError:  # an unhashable position
-        raise ValueError(f"positions must be integers, got {positions!r}") from None
-    return image(poly._terms)
+    for p in positions:  # an exact int, the common case, needs no call
+        if type(p) is not int and not _is_int(p):
+            raise ValueError(f"positions must be integers, got {positions!r}")
+    return _face_selectors(poly.num_vars, positions)(poly._terms)
 
 
-@lru_cache(maxsize=4096, typed=True)
-def _face_selectors(num_vars: int, *positions: int):
+@lru_cache(maxsize=4096)
+def _face_selectors(num_vars: int, positions: tuple[int, ...]):
     """The validated image builder of one face map: a function from the term
     dict of a ``num_vars``-variable polynomial to its finished image.
 
-    The kill test is picked once per face: none with no killed variable, one
-    index test with one, a tuple comparison with several.  A surviving term
-    is zero at every killed variable, so ``keep`` is one-to-one on survivors
-    and no two of them need adding up.
+    One kill test serves every face: a term survives when its killed
+    exponents are all zero, so ``keep`` is one-to-one on survivors and no two
+    of them need adding up.
 
-    Raises ``ValueError`` for positions that are not integers, out of range
-    or not strictly increasing; ``lru_cache`` caches no exception, so a bad
-    input raises on every call.  The cache is typed and takes one argument
-    per position, so ``True``, which hashes like ``1``, never hits a cached
-    ``1``.
+    Raises ``ValueError`` for positions out of range or not strictly
+    increasing; ``lru_cache`` caches no exception, so a bad input raises on
+    every call.  :func:`face_map` checks that the positions are integers
+    first, so ``True``, which hashes like ``1``, never reaches the cache.
     """
-    if not all(map(_is_int, positions)):
-        raise ValueError(f"positions must be integers, got {positions!r}")
     if any(p < 1 or p > num_vars for p in positions):
         raise ValueError(f"positions {positions!r} out of range for {num_vars} variables")
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise ValueError(f"positions must be strictly increasing, got {positions!r}")
     killed = [i for i in range(num_vars) if i + 1 not in positions]
-    keep, wrap, width = _selector([p - 1 for p in positions]), SparsePolynomial._wrap, len(positions)
-    if not killed:  # every variable kept, in order
-        return lambda terms: wrap(dict(terms), width)
-    if len(killed) == 1:
-        i = killed[0]
-        return lambda terms: wrap({keep(e): c for e, c in terms.items() if not e[i]}, width)
-    kill, zeros = _selector(killed), (0,) * len(killed)
+    keep, kill, zeros = _selector([p - 1 for p in positions]), _selector(killed), (0,) * len(killed)
+    wrap, width = SparsePolynomial._wrap, len(positions)
     return lambda terms: wrap({keep(e): c for e, c in terms.items() if kill(e) == zeros}, width)
 
 
 def _selector(indices: list[int]):
-    """A function picking ``indices`` out of a tuple, always as a tuple.
-
-    ``itemgetter`` returns a bare item for one index and cannot take none.
-    """
-    if not indices:
-        return lambda exps: ()
+    """An ``itemgetter`` picking ``indices`` out of a tuple, always as a tuple:
+    one index or none is taken as a slice, since a bare ``itemgetter`` returns
+    an item for one index and cannot take none."""
     if len(indices) == 1:
-        i = indices[0]
-        return lambda exps: (exps[i],)
-    return itemgetter(*indices)
+        return itemgetter(slice(indices[0], indices[0] + 1))
+    return itemgetter(*indices) if indices else itemgetter(slice(0))
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:

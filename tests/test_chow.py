@@ -51,6 +51,12 @@ class TestTruncateTensor:
         with pytest.raises(ValueError, match=re.escape(repr(bounds))):
             truncate_tensor(element, bounds)
 
+    @pytest.mark.parametrize("bounds", [5, None])
+    def test_bounds_that_are_not_iterable_are_a_value_error(self, bounds):
+        element = tensor(M([1]), M([1]))
+        with pytest.raises(ValueError, match=rf"length bounds {bounds} are malformed: .* not iterable"):
+            truncate_tensor(element, bounds)
+
     def test_zero_bounds(self):
         element = M([1]).coproduct()
         assert truncate_tensor(element, (0, 0)).is_zero()

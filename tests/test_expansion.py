@@ -447,7 +447,7 @@ class TestFaceMaps:
         every = tuple(range(1, num_vars + 1))
         mask = data.draw(st.lists(st.booleans(), min_size=num_vars, max_size=num_vars))
         drawn = tuple(p for p, kept in zip(every, mask) if kept)
-        # each branch of the compiled face: no, one and several variables killed
+        # faces that kill no variable, one and several, beside the drawn one
         one_killed = [tuple(p for p in every if p != q) for q in every]
         for positions in [drawn, (), every, *((p,) for p in every), *one_killed]:
             expected = face_map_by_substitution(terms, num_vars, positions)
@@ -456,7 +456,8 @@ class TestFaceMaps:
     @pytest.mark.parametrize("positions", [(1, 2, 3), (1, 3), (2,), ()])
     @pytest.mark.parametrize("counts", [(3, 4), (4, 3)])
     def test_compiled_face_is_keyed_by_variable_count(self, positions, counts):
-        # (1, 2, 3) kills no variable of 3 and one of 4; (1, 3) one of 3 and two of 4
+        # one compiled face per variable count: (1, 2, 3) kills no variable of 3
+        # and one of 4, (1, 3) one of 3 and two of 4
         qsym.expansion._face_selectors.cache_clear()
         for num_vars in counts:
             terms = {exps: k + 1 for k, exps in enumerate(product([0, 1], repeat=num_vars))}
