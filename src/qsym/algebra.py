@@ -266,10 +266,8 @@ class _Sparse:
         one = self._lift(1)  # None for types that lift no scalars
         if one is None:
             return NotImplemented
-        if not _is_int(k) or k < 0:
-            raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
         result = one
-        for _ in range(k):
+        for _ in range(_check_count(k, "exponent")):
             result = result * self
         return result
 

@@ -10,6 +10,7 @@ involution that swaps the roles of the two marked points upstairs.
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 from typing import Iterable, Mapping
 
@@ -101,12 +102,6 @@ def deep_stratum_class(d: int) -> QSymElement:
     return QSymElement.monomial([1] * d)
 
 
-def _beta_power(power) -> int:
-    if not _is_int(power) or power < 0:
-        raise ValueError(f"beta power must be a nonnegative integer, got {power!r}")
-    return power
-
-
 class BetaElement(_Sparse):
     """A polynomial in one extra class ``beta`` with quasisymmetric coefficients.
 
@@ -119,7 +114,7 @@ class BetaElement(_Sparse):
     __slots__ = ()
 
     _SCALAR_KEY = 0
-    _key = staticmethod(_beta_power)
+    _key = staticmethod(partial(_check_count, what="beta power"))
 
     def __init__(self, coeffs: Mapping[int, QSymElement] | None = None):
         self._store(None, coeffs)

@@ -19,12 +19,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_count(value, what: str, positive: bool = False) -> None:
-    """Reject a ``value`` that is not an int, or is below 1 (``positive``) or 0."""
+def _check_count(value, what: str, positive: bool = False) -> int:
+    """``value``, checked to be an int and at least 1 (``positive``) or 0."""
     if not _is_int(value):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if value < positive:
         raise ValueError(f"{what} must be {'positive' if positive else 'nonnegative'}, got {value}")
+    return value
 
 
 class Composition(tuple):

@@ -9,10 +9,11 @@ coefficients of that product, those of ``x1^c1...xl^cl``, which are the
 coefficients of the ``M_c``: :func:`_packed_product` reads them off the two
 memoised basis placements, and builds no polynomial.
 
-Also here: recognising quasisymmetric polynomials, reading them back into the
-basis, variable-killing face maps (each face compiled once into one kill
-test), and the certificate that products of Lyndon-indexed basis elements
-span each graded piece.  The certificate counts
+Also here: recognising quasisymmetric polynomials and reading them back into
+the basis (one pass over the terms decides both, so the ``oracle`` round trip
+reads each expansion back once), variable-killing face maps (each face
+compiled once into one kill test), and the certificate that products of
+Lyndon-indexed basis elements span each graded piece.  The certificate counts
 the products whose leading terms, read from the lex-largest shuffle of the
 factors with no product built, are the predicted, pairwise distinct
 concatenations: a lower bound on the rank.  The tests compare it with
@@ -52,10 +53,7 @@ class SparsePolynomial(_Sparse):
     _SHAPE_NAME = "variable count"
 
     def __init__(self, num_vars: int, terms: Mapping[tuple[int, ...], int] | None = None):
-        if not _is_int(num_vars) or num_vars < 0:
-            raise ValueError(f"variable count must be a nonnegative integer, got {num_vars!r}")
-
-        self._store(num_vars, terms)
+        self._store(_check_count(num_vars, "variable count"), terms)
 
     def _key(self, exps) -> tuple[int, ...]:
         exps = tuple(exps)
@@ -83,8 +81,7 @@ class SparsePolynomial(_Sparse):
 
     @classmethod
     def constant(cls, num_vars: int, value: int) -> "SparsePolynomial":
-        cls(num_vars)  # rejects a bad variable count before the key is built
-        return cls(num_vars, {(0,) * num_vars: value})
+        return cls(num_vars, {(0,) * _check_count(num_vars, "variable count"): value})
 
     def degree(self) -> int:
         """Largest total degree appearing; 0 for the zero polynomial."""

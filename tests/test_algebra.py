@@ -25,7 +25,7 @@ from qsym.algebra import (
     tensor,
     triple_tensor,
 )
-from qsym.chow import BetaElement, gluing_pullback, truncate_tensor
+from qsym.chow import BetaElement, deep_stratum_class, gluing_pullback, truncate_tensor
 from qsym.compositions import Composition, enumerate_compositions, enumerate_lyndon
 from qsym.expansion import SparsePolynomial, expand, face_map, from_polynomial
 from reference_impls import surjection_product
@@ -469,8 +469,7 @@ class TestTensors:
     @pytest.mark.parametrize("build, message", [
         (TensorElement, "tensor arity must be 2 or 3, got {!r}"),
         (TensorElement.unit, "tensor arity must be 2 or 3, got {!r}"),
-        (lambda n: SparsePolynomial.constant(n, 1),
-         "variable count must be a nonnegative integer, got {!r}"),
+        (lambda n: SparsePolynomial.constant(n, 1), "variable count must be an integer, got {!r}"),
     ], ids=["TensorElement", "TensorElement.unit", "SparsePolynomial.constant"])
     def test_arity_and_variable_count_must_be_ints(self, build, message, value):
         # 3.0 and True compare equal to valid ints; "2" prints like one
@@ -752,3 +751,26 @@ def test_a_key_that_is_not_a_sequence_is_a_value_error(call):
 def test_a_monomial_of_a_non_sequence_is_a_value_error():
     with pytest.raises(ValueError, match=r"^composition 5 is malformed: "):
         QSymElement.monomial(5)
+
+
+# Every count goes through one rule, so an argument is worded alike wherever
+# it is read.
+@pytest.mark.parametrize("value, problem", [
+    (True, "an integer, got True"),
+    (1.5, "an integer, got 1.5"),
+    ("2", "an integer, got '2'"),
+    (-1, "nonnegative, got -1"),
+])
+@pytest.mark.parametrize("what, build", [
+    ("variable count", SparsePolynomial),
+    ("variable count", lambda n: SparsePolynomial.constant(n, 1)),
+    ("beta power", lambda n: BetaElement({n: 1})),
+    ("exponent", lambda n: M([1]) ** n),
+    ("variable count", lambda n: expand(M([1]), n)),
+    ("variable count", lambda n: M([1]).truncate(n)),
+    ("stratum depth", deep_stratum_class),
+], ids=["SparsePolynomial", "SparsePolynomial.constant", "BetaElement", "pow", "expand",
+        "truncate", "deep_stratum_class"])
+def test_every_count_is_checked_by_one_rule(what, build, value, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{what} must be {problem}')}$"):
+        build(value)

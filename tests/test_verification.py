@@ -134,6 +134,25 @@ def test_oracle_packs_each_unordered_pair_once(monkeypatch):
     assert len(calls) == 10
 
 
+@pytest.mark.parametrize("max_degree", range(6))
+def test_oracle_reads_each_expansion_back_once(monkeypatch, max_degree):
+    # one pattern pass per basis element, 2**max_degree of them: the read-back
+    # alone decides quasisymmetry
+    calls, patterns = [], expansion._pattern_coefficients
+    monkeypatch.setattr(expansion, "_pattern_coefficients",
+                        lambda poly: calls.append(poly) or patterns(poly))
+    assert all(check.passed for check in verification.oracle_checks(max_degree))
+    assert len(calls) == 2 ** max_degree
+
+
+def test_oracle_fails_a_refused_read_back(monkeypatch):
+    # one variable too few: [2] in 1 variable trips the read-back's degree
+    # guard, which fails that case rather than escaping the suite
+    _patch(monkeypatch, "expand", lambda k: lambda f, n: k(f, n - 1))
+    checks = {c.name: c for c in verification.oracle_checks(3)}
+    assert checks["expansion-round-trip"].detail == "failed at [1] and 6 more"
+
+
 def test_mu_multiplies_pullbacks_once_per_unordered_pair_and_cut(monkeypatch):
     # gluing-multiplicative at mu@4 sweeps 68 (pair, cut) cases of total weight
     # <= 3; the unordered pairs have 36 cuts, one tensor product each
@@ -469,6 +488,12 @@ def _drop_last_term(mul, when=lambda self, other: True):
     return dropped
 
 
+def _plus_longest_term(f):
+    """``f`` with 1 added to its longest term's coefficient, once that term has 3 or more parts."""
+    longest = max(f._terms, key=len, default=())
+    return f + QSymElement.monomial(longest) if len(longest) >= 3 else f
+
+
 # Each entry breaks one paper map or kernel, patched where the checks read it,
 # and names every check that run_all() at the default bounds then fails: a
 # check that stops catching its entry, or starts failing beside it, shows.
@@ -506,10 +531,20 @@ MUTATIONS = {
         lambda k: lambda f, n: SparsePolynomial._wrap(dict(list(k(f, n)._terms.items())[1:]), n),
         {"zero-insertion", "restriction", "expansion-round-trip"},
     ),
+    "lyndon-enumeration-missing-weight-1": (
+        [(verification, "enumerate_lyndon")],
+        lambda k: lambda n: [] if n == 1 else k(n),
+        {"generator-count", *(f"free-generation-weight-{w}" for w in range(1, 7))},
+    ),
     "lyndon-enumeration-dropped-composition": (
         [(verification, "enumerate_lyndon")],
         lambda k: lambda n: k(n)[:-1] if n >= 3 else k(n),
         {"generator-count", *(f"free-generation-weight-{w}" for w in range(3, 7))},
+    ),
+    "from-polynomial-wrong-coefficient": (  # the round trip's one read-back
+        [(verification, "from_polynomial")],
+        lambda k: lambda poly: _plus_longest_term(k(poly)),
+        {"expansion-round-trip"},
     ),
     "face-map-wrong-coefficient": (
         [(verification, "face_map")],
