@@ -213,6 +213,59 @@ class TestKernelMemo:
         _quasi_shuffle(*self.LONG)
         assert (_quasi_shuffle.hits, _quasi_shuffle.misses) == (0, 1)
 
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """Every ordered pair through total weight 8 with its reference product,
+        in sweep order: the basis by weight, then lex, the left operand outside."""
+        basis = [tuple(c) for c in all_compositions(8)]
+        return [(a, b, surjection_product(a, b)) for a in basis for b in basis if sum(a + b) <= 8]
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """The operand pairs whose product fills the kernel's table."""
+        built, table = [], _quasi_shuffle._fn
+        monkeypatch.setattr(_quasi_shuffle, "_fn", lambda l, r: built.append((l, r)) or table(l, r))
+        return built
+
+    def test_cold_products_fill_the_table(self, sweep, tables):
+        for left, right, expected in sweep:
+            _quasi_shuffle.cache_clear()
+            assert dict(_quasi_shuffle(left, right)) == expected
+        assert len(tables) == len(sweep) > 1000
+
+    def test_products_in_sweep_order_are_assembled(self, sweep, tables):
+        for left, right, expected in sweep:
+            assert dict(_quasi_shuffle(left, right)) == expected
+        # every suffix product of a pair comes earlier in the sweep, so only a
+        # product with an empty side, which has none, fills a table
+        assert tables and all(not (left and right) for left, right in tables)
+        assert _quasi_shuffle.misses > 2 * len(tables)
+        assert set(_quasi_shuffle._entries) == {tuple(sorted(pair[:2])) for pair in sweep}
+
+    def test_sweeps_under_eviction_are_exact(self, sweep, tables, monkeypatch):
+        monkeypatch.setattr(_quasi_shuffle, "budget", 400)
+        monkeypatch.setattr(_quasi_shuffle, "entry_cap", 60)
+        for _ in range(2):
+            for left, right, expected in sweep:
+                assert dict(_quasi_shuffle(left, right)) == expected
+                assert sum(_stored_sizes(_quasi_shuffle)) == _quasi_shuffle.terms <= 400
+        assert _quasi_shuffle.evictions > 0
+        assert 0 < len(tables) < _quasi_shuffle.misses  # both routes ran
+
+    def test_mirror_call_builds_no_table(self, tables):
+        first = _quasi_shuffle((1, 2), (2, 1, 1))
+        assert _quasi_shuffle((2, 1, 1), (1, 2)) is first
+        info = _quasi_shuffle.cache_info()
+        assert (info.hits, info.misses, info.currsize, info.terms) == (1, 1, 1, len(first))
+        assert tables == [((1, 2), (2, 1, 1))]
+
+    def test_a_sweep_stores_only_its_own_products(self, sweep, tables):
+        # cold pairs of total weight 6 fill tables, whose rows are not kept
+        requested = [(a, b) for a, b, _ in sweep if sum(a + b) == 6]
+        for left, right in requested:
+            M(left) * M(right)
+        assert set(_quasi_shuffle._entries) == {tuple(sorted(pair)) for pair in requested}
+
     @pytest.mark.parametrize("left, right", [
         ((), ()),
         ((), (2, 1)),
