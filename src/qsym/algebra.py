@@ -45,11 +45,9 @@ class _Memo:
 
     ``cache_info()`` reports like ``functools.lru_cache`` does, with
     ``maxsize`` the term budget and ``currsize`` the stored entries, plus
-    the evictions and the stored terms.  A miss is one computed result, and
-    it stores that result alone; a hit is a result found in the memo.  The
-    quasi-shuffle product is commutative, so its memo, :class:`_ShuffleMemo`,
-    answers both operand orders from one entry, and it may assemble a miss
-    from stored results instead of calling the wrapped function.
+    the evictions and the stored terms.  A miss is one computed result; a
+    hit is a result found in the memo.  A miss stores its own result and
+    nothing else.
     """
 
     budget = 1 << 18
@@ -80,11 +78,8 @@ class _Memo:
         return value
 
     def _miss(self, key: tuple):
-        return self._keep(key, self._fn(*key))
-
-    def _keep(self, key: tuple, value: tuple):
-        """Count a computed ``value`` as a miss and store it unless oversized."""
         self.misses += 1
+        value = self._fn(*key)
         size = len(value) or 1
         if size > self.entry_cap:
             return value
@@ -98,51 +93,18 @@ class _Memo:
         return value
 
 
-def _step(a: int, b: int, below: Iterable, after: Iterable, corner: Iterable) -> dict:
-    """The quasi-shuffle recurrence: the product of ``(a,) + L`` and ``(b,) + R``
-    from the items of ``L * ((b,) + R)``, ``((a,) + L) * R`` and ``L * R``:
-
-        a.below + b.after + (a + b).corner
-
-    where ``x.`` puts the part x in front of every term.
-    """
-    acc = {(a,) + k: c for k, c in below}
-    for k, c in after:  # these meet the first branch when a == b
-        k = (b,) + k
-        acc[k] = acc.get(k, 0) + c
-    ab = a + b  # larger than both heads, so its terms are new keys
-    acc.update({(ab,) + k: c for k, c in corner})
-    return acc
-
-
-def _ordered(left: tuple, right: tuple) -> tuple:
-    """The memo key of a commutative product: its two operands in sorted order."""
-    return (left, right) if left <= right else (right, left)
-
-
 class _ShuffleMemo(_Memo):
-    """The quasi-shuffle memo.  The product is commutative, so both operand
-    orders share the one entry keyed by :func:`_ordered`.  A miss whose three
-    suffix products are all stored is assembled from them by :func:`_step`;
-    any other miss fills the kernel's table."""
+    """The memo of a commutative product: both operand orders read the one
+    entry keyed by the operands in sorted order."""
 
     def __call__(self, left, right):
-        key = (left, right) if left <= right else (right, left)  # _ordered, inlined on the hit path
+        key = (left, right) if left <= right else (right, left)
         try:
             value = self._entries[key]
         except KeyError:
             return self._miss(key)
         self.hits += 1
         return value
-
-    def _miss(self, key: tuple):
-        left, right = key
-        if left and right:
-            tail, rest, get = left[1:], right[1:], self._entries.get
-            stored = [get(_ordered(*pair)) for pair in ((tail, right), (left, rest), (tail, rest))]
-            if all(stored):  # a product is never empty
-                return self._keep(key, tuple(_step(left[0], right[0], *stored).items()))
-        return self._keep(key, self._fn(left, right))
 
 
 @_ShuffleMemo
@@ -153,13 +115,14 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
     Combin. 11, 2000), built bottom-up over pairs of suffixes.  With
     ``a = left[i]``, ``b = right[j]`` and ``below`` the row of products of
     ``left[i + 1:]``, the product of ``left[i:]`` and ``right[j:]`` is
-    ``row[j] = _step(a, b, below[j], row[j + 1], below[j + 1])``.  Two rows
-    of dicts keyed by plain int tuples are alive at once; the result is the
-    top dict's items, in no particular order, with the keys still plain
-    tuples.  The product is commutative: :class:`_ShuffleMemo` serves both
-    operand orders from one entry, and may assemble a miss from stored
-    suffix products instead of calling this table.  Callers must not mutate
-    the result.
+
+        row[j] = a.below[j] + b.row[j + 1] + (a + b).below[j + 1]
+
+    where ``x.`` puts the part x in front of every term.  Two rows of dicts
+    keyed by plain int tuples are alive at once; the result is the top
+    dict's items, in no particular order, with the keys still plain tuples.
+    The product is commutative, so :class:`_ShuffleMemo` keeps one result
+    for both operand orders; callers must not mutate it.
     """
     n = len(right)
     below = [{right[j:]: 1} for j in range(n + 1)]  # the row of the empty left suffix
@@ -167,17 +130,16 @@ def _quasi_shuffle(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[tuple
         a = left[i]
         row = [None] * n + [{left[i:]: 1}]
         for j in range(n - 1, -1, -1):
-            row[j] = _step(a, right[j], below[j].items(), row[j + 1].items(), below[j + 1].items())
+            b = right[j]
+            acc = {(a,) + k: c for k, c in below[j].items()}
+            for k, c in row[j + 1].items():  # these meet the first branch when a == b
+                k = (b,) + k
+                acc[k] = acc.get(k, 0) + c
+            ab = a + b  # larger than both heads, so its terms are new keys
+            acc.update({(ab,) + k: c for k, c in below[j + 1].items()})
+            row[j] = acc
         below = row
     return tuple(below[0].items())
-
-
-@_Memo
-def _antipode_row(comp: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """The terms of ``S(M_comp)``: the coarsenings of the reversed composition,
-    each with the coefficient ``(-1) ** len(comp)``, which the caller applies
-    (a row of bare keys is about half the memory of one of pairs)."""
-    return tuple(_coarsenings(comp[::-1]))
 
 
 class _Sparse:
@@ -415,13 +377,12 @@ class QSymElement(_Sparse):
         return self._terms.get(_EMPTY, 0)
 
     def antipode(self) -> "QSymElement":
-        """Signed sum over coarsenings of the reversed composition, per term;
-        each term's coarsenings are one memoised :func:`_antipode_row`."""
+        """Signed sum over coarsenings of the reversed composition, per term."""
         acc: dict[tuple[int, ...], int] = {}
         for comp, coeff in self._terms.items():
-            signed = -coeff if len(comp) % 2 else coeff
-            for coarser in _antipode_row(comp):
-                acc[coarser] = acc.get(coarser, 0) + signed
+            sign = -1 if len(comp) % 2 else 1
+            for coarser in _coarsenings(comp[::-1]):
+                acc[coarser] = acc.get(coarser, 0) + sign * coeff
         return self._new(acc)
 
     def reverse_indices(self) -> "QSymElement":

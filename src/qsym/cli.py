@@ -17,10 +17,9 @@ built from the :mod:`qsym.syntax` names ``{format,json,latex}_{kind}``.
 :func:`run` may be called many times in one process.  The argument parser is
 built once, on the first call, and reused.  The kernel caches behind it are
 bounded, so a long-lived caller's memory stays bounded; each owner states its
-bound: ``algebra._Memo`` (the memos of ``algebra._quasi_shuffle``,
-``algebra._antipode_row`` and ``expansion._basis_expansion``),
-``expansion._face_selectors`` and the printers' part-text table
-``syntax._PartText``.
+bound: ``algebra._Memo`` (the memos of ``algebra._quasi_shuffle`` and
+``expansion._basis_expansion``), ``expansion._face_selectors`` and the
+printers' part-text table ``syntax._PartText``.
 """
 
 from __future__ import annotations

@@ -233,14 +233,15 @@ class TestKernelMemo:
             assert dict(_quasi_shuffle(left, right)) == expected
         assert len(tables) == len(sweep) > 1000
 
-    def test_products_in_sweep_order_are_assembled(self, sweep, tables):
+    def test_a_warm_sweep_fills_one_table_per_unordered_pair(self, sweep, tables):
         for left, right, expected in sweep:
             assert dict(_quasi_shuffle(left, right)) == expected
-        # every suffix product of a pair comes earlier in the sweep, so only a
-        # product with an empty side, which has none, fills a table
-        assert tables and all(not (left and right) for left, right in tables)
-        assert _quasi_shuffle.misses > 2 * len(tables)
-        assert set(_quasi_shuffle._entries) == {tuple(sorted(pair[:2])) for pair in sweep}
+        # one table per unordered pair, and no stored product but those asked for
+        unordered = list(dict.fromkeys(tuple(sorted(pair[:2])) for pair in sweep))
+        assert tables == unordered
+        info = _quasi_shuffle.cache_info()
+        assert (info.hits, info.misses) == (len(sweep) - len(unordered), len(unordered))
+        assert set(_quasi_shuffle._entries) == set(unordered)
 
     def test_sweeps_under_eviction_are_exact(self, sweep, tables, monkeypatch):
         monkeypatch.setattr(_quasi_shuffle, "budget", 400)
@@ -250,7 +251,7 @@ class TestKernelMemo:
                 assert dict(_quasi_shuffle(left, right)) == expected
                 assert sum(_stored_sizes(_quasi_shuffle)) == _quasi_shuffle.terms <= 400
         assert _quasi_shuffle.evictions > 0
-        assert 0 < len(tables) < _quasi_shuffle.misses  # both routes ran
+        assert all(left <= right for left, right in tables)
 
     def test_mirror_call_builds_no_table(self, tables):
         first = _quasi_shuffle((1, 2), (2, 1, 1))
@@ -258,13 +259,6 @@ class TestKernelMemo:
         info = _quasi_shuffle.cache_info()
         assert (info.hits, info.misses, info.currsize, info.terms) == (1, 1, 1, len(first))
         assert tables == [((1, 2), (2, 1, 1))]
-
-    def test_a_sweep_stores_only_its_own_products(self, sweep, tables):
-        # cold pairs of total weight 6 fill tables, whose rows are not kept
-        requested = [(a, b) for a, b, _ in sweep if sum(a + b) == 6]
-        for left, right in requested:
-            M(left) * M(right)
-        assert set(_quasi_shuffle._entries) == {tuple(sorted(pair)) for pair in requested}
 
     @pytest.mark.parametrize("left, right", [
         ((), ()),

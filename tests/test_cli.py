@@ -540,8 +540,7 @@ class TestLongLivedProcess:
         assert invoke(capsys, "--help") == first_help
 
     @pytest.mark.parametrize(
-        "kernel", [algebra._quasi_shuffle, algebra._antipode_row, expansion._basis_expansion,
-                   expansion._face_selectors]
+        "kernel", [algebra._quasi_shuffle, expansion._basis_expansion, expansion._face_selectors]
     )
     def test_kernel_caches_are_bounded(self, kernel):
         assert kernel.cache_info().maxsize is not None
